@@ -19,20 +19,23 @@ consequence, against the one-parameter delta family the main bound
 dominates, and against the Chebyshev-type product rearrangement used to
 chain the first into the second.
 
-Sums are accumulated with error-free compensated summation (math.fsum):
-slacks near saturation must not be swamped by rounding.
+Every check is a short formula over a few sums of the gaps
+g_i = lambda_next - lambda_i. Those sums, and S and T, are evaluated once
+per (spectrum, k, lambda_next) into one record, _Sums; only the quadratic
+term of the delta family depends on delta and is summed per delta. Sums
+are accumulated with error-free compensated summation (math.fsum): slacks
+near saturation must not be swamped by rounding. A sum that overflows is
+an input error, not a verdict.
 
 At n = 2 both correction terms vanish and w = p = lam exactly.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
-from math import exp, fsum, log, sqrt
-from typing import Any, Sequence
+from math import exp, fsum, isfinite, log, sqrt
+from typing import Any, Iterable, Sequence
 
 from .errors import (
     AllGapsZero,
@@ -69,6 +72,7 @@ __all__ = [
 # max(|lhs|, |rhs|, 1) behaves uniformly across scales.
 DEFAULT_REL_TOL = 1e-10
 
+# The one CSV schema, shared by single-report rows and campaign reports.
 CSV_COLUMNS = (
     "n",
     "theta0",
@@ -131,6 +135,7 @@ class BoundReport:
     delta_star: float | None = None
     theta0: float | None = None
     meta: dict[str, Any] = field(default_factory=dict)
+    minimized: float | None = None  # delta* sum g^2 w + sum g p / delta*
 
 
 def bound_terms(lam: float, n: int) -> BoundTerms:
@@ -143,21 +148,142 @@ def bound_terms(lam: float, n: int) -> BoundTerms:
     return BoundTerms(w=w, p=p)
 
 
-def _terms(s: Spectrum, k: int) -> list[BoundTerms]:
+def _total(terms: Iterable[float]) -> float:
+    """Compensated sum; overflow or a non-finite total is an input error."""
+    try:
+        total = fsum(terms)
+    except (OverflowError, ValueError) as exc:  # inf - inf, or overflow inside fsum
+        raise InvalidInput(f"a bound sum is not finite: {exc}") from exc
+    if not isfinite(total):
+        raise InvalidInput(f"a bound sum is not finite ({total!r})")
+    return total
+
+
+def _coefficients(s: Spectrum, k: int) -> tuple[list[BoundTerms], float, float]:
+    """Terms of the first k eigenvalues and the averaged coefficients S, T."""
     if not 1 <= k <= len(s.values):
         raise InvalidInput(f"need 1 <= k <= {len(s.values)}, got k={k}")
-    return [bound_terms(lam, s.n) for lam in s.values[:k]]
+    lams = s.values[:k]
+    t = [bound_terms(lam, s.n) for lam in lams]
+    # S and T cannot overflow once their sums are finite: sum lam and sum lam^2
+    # are far below sum w p ~ lam^2 and sum lam w p ~ lam^3.
+    S = _total(lams) / k + _total(ti.w * ti.p for ti in t) / (2 * k)
+    T = _total(l * l for l in lams) / k + _total(
+        l * ti.w * ti.p for l, ti in zip(lams, t)
+    ) / k
+    return t, S, T
+
+
+def _roots(S: float, T: float) -> tuple[float, float, float]:
+    disc = _total((S * S, -T))
+    if disc < 0.0:
+        raise NegativeDiscriminant(S, T)
+    root = sqrt(disc)
+    return S + root, 2.0 * root, S - root
+
+
+@dataclass(frozen=True)
+class _Sums:
+    """Every sum the checks are formulas over, for one (spectrum, k, lambda_next).
+
+    The gap sums run over g_i = lambda_next - lambda_i, i <= k. The check
+    methods are the formulas documented on the public functions.
+    """
+
+    n: int
+    lams: tuple[float, ...]
+    lambda_next: float
+    gaps: tuple[float, ...]
+    S: float
+    T: float
+    g2: float  # sum g^2
+    g2w: float  # sum g^2 w
+    gp: float  # sum g p
+    gwp: float  # sum g w p
+    thm_lhs: float  # sum g^2 (2 + (n-2)/(lam - (n-2)))
+    corr: float  # sum g^2 (n-2)/(lam - (n-2))
+
+    @property
+    def thm_rhs(self) -> float:
+        return 2.0 * sqrt(max(self.g2w * self.gp, 0.0))
+
+    def thm14(self, rel_tol: float) -> CheckRecord:
+        return CheckRecord.make("thm14", self.thm_lhs, self.thm_rhs, rel_tol)
+
+    def yang15(self, rel_tol: float) -> CheckRecord:
+        return CheckRecord.make("yang15", self.g2, self.gwp, rel_tol)
+
+    def chebyshev(self, rel_tol: float) -> CheckRecord:
+        lhs, rhs = self.g2w * self.gp, self.g2 * self.gwp
+        return CheckRecord.make("chebyshev", lhs, rhs, rel_tol)
+
+    def wx13(self, delta: float, rel_tol: float) -> CheckRecord:
+        if not delta > 0.0:
+            raise InvalidDelta(f"delta must be positive, got {delta!r}")
+        c = float(self.n - 2)
+        quad = fsum(
+            g * g * (delta * lam + delta * delta * (lam - c) / (4.0 * (delta * lam + c)))
+            for g, lam in zip(self.gaps, self.lams)
+        )
+        rhs = quad + self.gp / delta
+        return CheckRecord.make("wx13", 2.0 * self.g2, rhs, rel_tol, delta=delta)
+
+    def family(
+        self, grid: Sequence[float], rel_tol: float
+    ) -> list[tuple[CheckRecord, CheckRecord]]:
+        """(wx13, dominance) per delta; dominance compares the delta-free rhs."""
+        if not grid:
+            raise InvalidInput("delta grid is empty")
+        new_rhs = -self.corr + self.thm_rhs
+        out = []
+        for d in grid:
+            wx = self.wx13(d, rel_tol)
+            dom = CheckRecord.make("dominance", new_rhs, wx.rhs, rel_tol, delta=d)
+            out.append((wx, dom))
+        return out
+
+    def optimal_delta(self) -> tuple[float, float]:
+        sw, sp = self.g2w, self.gp
+        if sp == 0.0:
+            # p > 0 always, so this means every gap vanishes and delta* is 0/0.
+            raise AllGapsZero("all gaps vanish; delta* is 0/0")
+        if sw <= 0.0:
+            # Possible only when some w < 0, i.e. lambda barely above n-2.
+            raise InvalidInput(f"delta* undefined: sum gap^2 w = {sw!r} <= 0")
+        delta_star = sqrt(sp / sw)
+        return delta_star, delta_star * sw + sp / delta_star
+
+
+def _sums(s: Spectrum, k: int, lambda_next: float | None) -> _Sums:
+    """Validate (k, then terms, then ordering) and evaluate every sum once.
+
+    A lambda_next of None takes the quadratic upper bound as the candidate.
+    """
+    t, S, T = _coefficients(s, k)
+    if lambda_next is None:
+        lambda_next = _roots(S, T)[0]
+    lams = s.values[:k]
+    if lambda_next < lams[-1]:
+        raise OrderViolation(f"lambda_next={lambda_next!r} below k-th value {lams[-1]!r}")
+    gaps = tuple(lambda_next - lam for lam in lams)
+    gt, gl = list(zip(gaps, t)), list(zip(gaps, lams))
+    c = float(s.n - 2)
+    return _Sums(
+        s.n, lams, lambda_next, gaps, S, T,
+        g2=_total(g * g for g in gaps),
+        g2w=_total(g * g * ti.w for g, ti in gt),
+        gp=_total(g * ti.p for g, ti in gt),
+        gwp=_total(g * ti.w * ti.p for g, ti in gt),
+        thm_lhs=_total(
+            g * g * (2.0 + (0.0 if s.n == 2 else c / (lam - c))) for g, lam in gl
+        ),
+        corr=_total(0.0 if s.n == 2 else g * g * c / (lam - c) for g, lam in gl),
+    )
 
 
 def compute_S_T(s: Spectrum, k: int) -> tuple[float, float]:
     """Averaged quadratic coefficients over the first k eigenvalues."""
-    t = _terms(s, k)
-    lams = s.values[:k]
-    S = fsum(lams) / k + fsum(ti.w * ti.p for ti in t) / (2 * k)
-    T = fsum(l * l for l in lams) / k + fsum(
-        l * ti.w * ti.p for l, ti in zip(lams, t)
-    ) / k
-    return S, T
+    return _coefficients(s, k)[1:]
 
 
 def bound_next(s: Spectrum, k: int) -> tuple[float, float, float]:
@@ -166,20 +292,7 @@ def bound_next(s: Spectrum, k: int) -> tuple[float, float, float]:
     For k = 1 the discriminant collapses to (w p / 2)^2, so the upper bound
     is exactly lambda_1 + w p and the lower bound is exactly lambda_1.
     """
-    S, T = compute_S_T(s, k)
-    disc = fsum((S * S, -T))
-    if disc < 0.0:
-        raise NegativeDiscriminant(S, T)
-    root = sqrt(disc)
-    return S + root, 2.0 * root, S - root
-
-
-def _gaps(s: Spectrum, k: int, lambda_next: float) -> list[float]:
-    if lambda_next < s.values[k - 1]:
-        raise OrderViolation(
-            f"lambda_next={lambda_next!r} below k-th value {s.values[k - 1]!r}"
-        )
-    return [lambda_next - lam for lam in s.values[:k]]
+    return _roots(*compute_S_T(s, k))
 
 
 def check_theorem(
@@ -190,28 +303,14 @@ def check_theorem(
     lhs = sum gap_i^2 (2 + (n-2)/(lam_i - (n-2)))
     rhs = 2 sqrt(sum gap_i^2 w_i) sqrt(sum gap_i p_i)
     """
-    t = _terms(s, k)
-    gaps = _gaps(s, k, lambda_next)
-    c = float(s.n - 2)
-    lhs = fsum(
-        g * g * (2.0 + (0.0 if s.n == 2 else c / (lam - c)))
-        for g, lam in zip(gaps, s.values[:k])
-    )
-    sw = fsum(g * g * ti.w for g, ti in zip(gaps, t))
-    sp = fsum(g * ti.p for g, ti in zip(gaps, t))
-    rhs = 2.0 * sqrt(max(sw * sp, 0.0))
-    return CheckRecord.make("thm14", lhs, rhs, rel_tol)
+    return _sums(s, k, lambda_next).thm14(rel_tol)
 
 
 def check_yang(
     s: Spectrum, k: int, lambda_next: float, rel_tol: float = DEFAULT_REL_TOL
 ) -> CheckRecord:
     """Yang-type consequence: sum gap_i^2 <= sum gap_i w_i p_i."""
-    t = _terms(s, k)
-    gaps = _gaps(s, k, lambda_next)
-    lhs = fsum(g * g for g in gaps)
-    rhs = fsum(g * ti.w * ti.p for g, ti in zip(gaps, t))
-    return CheckRecord.make("yang15", lhs, rhs, rel_tol)
+    return _sums(s, k, lambda_next).yang15(rel_tol)
 
 
 def wangxia_rhs(
@@ -227,19 +326,7 @@ def wangxia_rhs(
     rhs = sum gap_i^2 (delta lam_i + delta^2 (lam_i-(n-2)) / (4(delta lam_i+n-2)))
           + (1/delta) sum gap_i p_i
     """
-    if not delta > 0.0:
-        raise InvalidDelta(f"delta must be positive, got {delta!r}")
-    t = _terms(s, k)
-    gaps = _gaps(s, k, lambda_next)
-    c = float(s.n - 2)
-    lhs = 2.0 * fsum(g * g for g in gaps)
-    quad = fsum(
-        g * g * (delta * lam + delta * delta * (lam - c) / (4.0 * (delta * lam + c)))
-        for g, lam in zip(gaps, s.values[:k])
-    )
-    lin = fsum(g * ti.p for g, ti in zip(gaps, t)) / delta
-    rhs = quad + lin
-    return CheckRecord.make("wx13", lhs, rhs, rel_tol, delta=delta)
+    return _sums(s, k, lambda_next).wx13(delta, rel_tol)
 
 
 def optimal_delta(s: Spectrum, k: int, lambda_next: float) -> tuple[float, float]:
@@ -248,21 +335,7 @@ def optimal_delta(s: Spectrum, k: int, lambda_next: float) -> tuple[float, float
     Returns (delta_star, minimized value). By the arithmetic-geometric mean
     saturation the minimized value equals the rhs of check_theorem.
     """
-    t = _terms(s, k)
-    gaps = _gaps(s, k, lambda_next)
-    sw = fsum(g * g * ti.w for g, ti in zip(gaps, t))
-    sp = fsum(g * ti.p for g, ti in zip(gaps, t))
-    if sp == 0.0:
-        # p > 0 always, so this means every gap vanishes and delta* is 0/0.
-        raise AllGapsZero("all gaps vanish; delta* is 0/0")
-    if sw <= 0.0:
-        # Possible only when some w < 0, i.e. lambda barely above n-2.
-        raise InvalidInput(
-            f"delta* undefined: sum gap^2 w = {sw!r} is not positive"
-        )
-    delta_star = sqrt(sp / sw)
-    minimized = delta_star * sw + sp / delta_star
-    return delta_star, minimized
+    return _sums(s, k, lambda_next).optimal_delta()
 
 
 def dominance_gap(
@@ -280,23 +353,8 @@ def dominance_gap(
     Returns (delta, wx_rhs, new_rhs, gap) per grid point; the dominance claim
     is gap >= 0 for every delta.
     """
-    if not delta_grid:
-        raise InvalidInput("delta grid is empty")
-    t = _terms(s, k)
-    gaps = _gaps(s, k, lambda_next)
-    c = float(s.n - 2)
-    corr = fsum(
-        0.0 if s.n == 2 else g * g * c / (lam - c)
-        for g, lam in zip(gaps, s.values[:k])
-    )
-    sw = fsum(g * g * ti.w for g, ti in zip(gaps, t))
-    sp = fsum(g * ti.p for g, ti in zip(gaps, t))
-    new_rhs = -corr + 2.0 * sqrt(max(sw * sp, 0.0))
-    out = []
-    for d in delta_grid:
-        wx = wangxia_rhs(s, k, lambda_next, d, rel_tol)
-        out.append((d, wx.rhs, new_rhs, wx.rhs - new_rhs))
-    return out
+    family = _sums(s, k, lambda_next).family(delta_grid, rel_tol)
+    return [(wx.delta, wx.rhs, dom.lhs, dom.slack) for wx, dom in family]
 
 
 def chebyshev_check(
@@ -306,13 +364,7 @@ def chebyshev_check(
 
     (sum gap^2 w)(sum gap p) <= (sum gap^2)(sum gap w p).
     """
-    t = _terms(s, k)
-    gaps = _gaps(s, k, lambda_next)
-    sw = fsum(g * g * ti.w for g, ti in zip(gaps, t))
-    sp = fsum(g * ti.p for g, ti in zip(gaps, t))
-    s2 = fsum(g * g for g in gaps)
-    swp = fsum(g * ti.w * ti.p for g, ti in zip(gaps, t))
-    return CheckRecord.make("chebyshev", sw * sp, s2 * swp, rel_tol)
+    return _sums(s, k, lambda_next).chebyshev(rel_tol)
 
 
 def default_delta_grid(
@@ -342,34 +394,29 @@ def build_report(
     the candidate, which exercises the inequalities at their saturation
     point.
     """
-    S, T = compute_S_T(s, k)
-    upper, gap_up, lower = bound_next(s, k)
-    lam_next = upper if lambda_next is None else lambda_next
+    r = _sums(s, k, lambda_next)
+    upper, gap_up, lower = _roots(r.S, r.T)
+    lam_k = r.lams[-1]
     checks: list[CheckRecord] = [
-        check_theorem(s, k, lam_next, rel_tol),
-        check_yang(s, k, lam_next, rel_tol),
-        CheckRecord.make("upper16", lam_next, upper, rel_tol),
-        CheckRecord.make(
-            "gap17", lam_next - s.values[k - 1], gap_up, rel_tol
-        ),
-        CheckRecord.make("lower216", lower, s.values[k - 1], rel_tol),
-        chebyshev_check(s, k, lam_next, rel_tol),
+        r.thm14(rel_tol),
+        r.yang15(rel_tol),
+        CheckRecord.make("upper16", r.lambda_next, upper, rel_tol),
+        CheckRecord.make("gap17", r.lambda_next - lam_k, gap_up, rel_tol),
+        CheckRecord.make("lower216", lower, lam_k, rel_tol),
+        r.chebyshev(rel_tol),
     ]
-    delta_star: float | None = None
     try:
-        delta_star, _ = optimal_delta(s, k, lam_next)
+        delta_star, minimized = r.optimal_delta()
     except (AllGapsZero, InvalidInput):
-        pass
+        delta_star = minimized = None
     grid = list(delta_grid) if delta_grid is not None else default_delta_grid()
-    lhs2 = 2.0 * _sum_sq_gaps(s, k, lam_next)
-    for d, wx, new, _g in dominance_gap(s, k, lam_next, grid, rel_tol):
-        checks.append(CheckRecord.make("wx13", lhs2, wx, rel_tol, delta=d))
-        checks.append(CheckRecord.make("dominance", new, wx, rel_tol, delta=d))
+    for wx, dom in r.family(grid, rel_tol):
+        checks += (wx, dom)
     return BoundReport(
         n=s.n,
         k=k,
-        S=S,
-        T=T,
+        S=r.S,
+        T=r.T,
         upper_next=upper,
         gap_upper=gap_up,
         lower_prev=lower,
@@ -377,66 +424,59 @@ def build_report(
         delta_star=delta_star,
         theta0=theta0,
         meta=dict(meta or {}),
+        minimized=minimized,
     )
 
 
-def _sum_sq_gaps(s: Spectrum, k: int, lambda_next: float) -> float:
-    return fsum((lambda_next - lam) ** 2 for lam in s.values[:k])
+def _check_doc(c: CheckRecord) -> dict[str, Any]:
+    """The JSON form of one check, shared with campaign reports."""
+    return {
+        "inequality_id": c.inequality_id,
+        "lhs": c.lhs,
+        "rhs": c.rhs,
+        "slack": c.slack,
+        "holds": c.holds,
+        "delta": c.delta,
+    }
+
+
+def _bounds_doc(report: BoundReport) -> dict[str, Any]:
+    """The JSON form of a report's bound values, shared with campaign reports."""
+    keys = ("k", "S", "T", "upper_next", "gap_upper", "lower_prev", "delta_star")
+    return {key: getattr(report, key) for key in keys}
 
 
 def report_to_json(report: BoundReport) -> str:
     doc = {
         "n": report.n,
         "theta0": report.theta0,
-        "k": report.k,
-        "S": report.S,
-        "T": report.T,
-        "upper_next": report.upper_next,
-        "gap_upper": report.gap_upper,
-        "lower_prev": report.lower_prev,
-        "delta_star": report.delta_star,
-        "checks": [
-            {
-                "inequality_id": c.inequality_id,
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-                "slack": c.slack,
-                "holds": c.holds,
-                "delta": c.delta,
-            }
-            for c in report.checks
-        ],
+        **_bounds_doc(report),
+        "checks": [_check_doc(c) for c in report.checks],
         "meta": report.meta,
     }
     return json.dumps(doc, indent=2)
 
 
+def _g17(x: float | None) -> str:
+    return "" if x is None else f"{x:.17g}"
+
+
+def _csv_row(
+    n: int, theta0: float | None, k: int | None, check: dict[str, Any], meta_N, meta_order
+) -> dict[str, Any]:
+    """One CSV_COLUMNS row for a check in its _check_doc form."""
+    c = check
+    sides = (_g17(c["lhs"]), _g17(c["rhs"]), _g17(c["slack"]))
+    values = (n, _g17(theta0), "" if k is None else k, c["inequality_id"], *sides)
+    values += (str(c["holds"]).lower(), _g17(c["delta"]), meta_N, meta_order)
+    return dict(zip(CSV_COLUMNS, values))
+
+
 def report_to_csv_rows(report: BoundReport) -> list[dict[str, Any]]:
     """Flatten a report into rows under the fixed CSV schema."""
-    rows = []
-    for c in report.checks:
-        rows.append(
-            {
-                "n": report.n,
-                "theta0": "" if report.theta0 is None else f"{report.theta0:.17g}",
-                "k": report.k,
-                "inequality_id": c.inequality_id,
-                "lhs": f"{c.lhs:.17g}",
-                "rhs": f"{c.rhs:.17g}",
-                "slack": f"{c.slack:.17g}",
-                "holds": str(c.holds).lower(),
-                "delta": "" if c.delta is None else f"{c.delta:.17g}",
-                "meta_N": report.meta.get("N", ""),
-                "meta_order": report.meta.get("order", ""),
-            }
-        )
-    return rows
-
-
-def rows_to_csv(rows: list[dict[str, Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    meta_N = report.meta.get("N", "")
+    meta_order = report.meta.get("order", "")
+    return [
+        _csv_row(report.n, report.theta0, report.k, _check_doc(c), meta_N, meta_order)
+        for c in report.checks
+    ]

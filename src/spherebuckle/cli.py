@@ -16,7 +16,7 @@ import sys
 from typing import Sequence
 
 from .bounds import (
-    DEFAULT_REL_TOL,
+    CheckRecord,
     build_report,
     default_delta_grid,
     dominance_gap,
@@ -204,11 +204,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         f"{d:.17g},{wx:.17g},{new:.17g},{gap:.17g}" for d, wx, new, gap in rows
     ]
     sys.stdout.write("\n".join(lines) + "\n")
-    worst_ok = all(
-        gap >= -DEFAULT_REL_TOL * max(abs(wx), abs(new), 1.0)
-        for _d, wx, new, gap in rows
-    )
-    return EXIT_OK if worst_ok else EXIT_VIOLATION
+    holds = all(CheckRecord.make("dominance", new, wx).holds for _, wx, new, _ in rows)
+    return EXIT_OK if holds else EXIT_VIOLATION
 
 
 def _cmd_convergence(args: argparse.Namespace) -> int:

@@ -25,12 +25,14 @@ from datetime import datetime, timezone
 from typing import Any
 
 from .bounds import (
+    CSV_COLUMNS,
     BoundReport,
     CheckRecord,
+    _bounds_doc,
+    _check_doc,
+    _csv_row,
     build_report,
-    check_theorem,
     default_delta_grid,
-    optimal_delta,
 )
 from .errors import ConfigError, SphereBuckleError
 from .spectrum import CapDomain
@@ -46,19 +48,7 @@ __all__ = [
     "CAMPAIGN_CSV_COLUMNS",
 ]
 
-CAMPAIGN_CSV_COLUMNS = (
-    "n",
-    "theta0",
-    "k",
-    "inequality_id",
-    "lhs",
-    "rhs",
-    "slack",
-    "holds",
-    "delta",
-    "meta_N",
-    "meta_order",
-)
+CAMPAIGN_CSV_COLUMNS = CSV_COLUMNS
 
 # Residual contract for the energy-split identity on computed pairs.
 IDENTITY_BOUND = 1e-8
@@ -222,16 +212,7 @@ def _status(rec: CheckRecord, solver_rel_tol: float) -> str:
 def _check_dict(
     rec: CheckRecord, k: int | None, solver_rel_tol: float
 ) -> dict[str, Any]:
-    return {
-        "k": k,
-        "inequality_id": rec.inequality_id,
-        "lhs": rec.lhs,
-        "rhs": rec.rhs,
-        "slack": rec.slack,
-        "holds": rec.holds,
-        "delta": rec.delta,
-        "status": _status(rec, solver_rel_tol),
-    }
+    return {"k": k, **_check_doc(rec), "status": _status(rec, solver_rel_tol)}
 
 
 def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
@@ -295,23 +276,17 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
         dominance_min[k] = min(
             rec.slack for rec in rep.checks if rec.inequality_id == "dominance"
         )
-        ds, minimized = optimal_delta(spectrum, k, lam_next)
-        delta_star[k] = ds
-        thm_rhs = check_theorem(spectrum, k, lam_next, tol).rhs
+        if rep.delta_star is None:
+            # delta* needs a nonzero gap and sum g^2 w > 0; a cap's simple
+            # lambda_1 > n guarantees both, so this is only a guard.
+            continue
+        delta_star[k], minimized = rep.delta_star, rep.minimized
+        thm_rhs = next(rec.rhs for rec in rep.checks if rec.inequality_id == "thm14")
         slack = thm_rhs - minimized
         agree = abs(slack) <= tol * _norm_scale(minimized, thm_rhs)
-        checks.append(
-            {
-                "k": k,
-                "inequality_id": "deltastar",
-                "lhs": minimized,
-                "rhs": thm_rhs,
-                "slack": slack,
-                "holds": agree,
-                "delta": ds,
-                "status": "ok" if agree else "violated",
-            }
-        )
+        rec = CheckRecord("deltastar", minimized, thm_rhs, slack, agree, delta_star[k])
+        status = "ok" if agree else "violated"
+        checks.append({**_check_dict(rec, k, cfg.grid_rel_tol), "status": status})
 
     return CaseResult(
         n=n,
@@ -411,18 +386,7 @@ def report_to_json(report: CampaignReport, timestamp: bool = True) -> str:
                 "theta0": case.theta0,
                 "eigenvalues": list(case.eigenvalues),
                 "meta": case.meta,
-                "bounds": [
-                    {
-                        "k": rep.k,
-                        "S": rep.S,
-                        "T": rep.T,
-                        "upper_next": rep.upper_next,
-                        "gap_upper": rep.gap_upper,
-                        "lower_prev": rep.lower_prev,
-                        "delta_star": rep.delta_star,
-                    }
-                    for rep in case.reports
-                ],
+                "bounds": [_bounds_doc(rep) for rep in case.reports],
                 "lemma21_margin": case.lemma21_margin,
                 "identity_residuals": (
                     None
@@ -463,24 +427,12 @@ def report_to_csv(report: CampaignReport) -> str:
         if case.error is not None:
             continue
         order_scalar = _case_order_scalar(case.meta)
-        for c in case.checks:
-            rows.append(
-                {
-                    "n": case.n,
-                    "theta0": f"{case.theta0:.17g}",
-                    "k": "" if c["k"] is None else c["k"],
-                    "inequality_id": c["inequality_id"],
-                    "lhs": f"{c['lhs']:.17g}",
-                    "rhs": f"{c['rhs']:.17g}",
-                    "slack": f"{c['slack']:.17g}",
-                    "holds": str(c["holds"]).lower(),
-                    "delta": "" if c["delta"] is None else f"{c['delta']:.17g}",
-                    "meta_N": case.meta.get("N", ""),
-                    "meta_order": order_scalar
-                    if order_scalar == ""
-                    else f"{order_scalar:.6g}",
-                }
-            )
+        meta_order = order_scalar if order_scalar == "" else f"{order_scalar:.6g}"
+        meta_N = case.meta.get("N", "")
+        rows += (
+            _csv_row(case.n, case.theta0, c["k"], c, meta_N, meta_order)
+            for c in case.checks
+        )
     rows.sort(
         key=lambda r: (
             r["n"],
@@ -491,8 +443,7 @@ def report_to_csv(report: CampaignReport) -> str:
         )
     )
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(CAMPAIGN_CSV_COLUMNS), lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()

@@ -580,12 +580,7 @@ def solve_cap(
     N_final = history[-1][0]
     coarse, fine = history[-2][1], history[-1][1]
     extrapolated = (4.0 * fine - coarse) / 3.0
-    orders: list[float | None] = [None] * k
-    if len(history) >= 3:
-        d1 = np.abs(history[-2][1] - history[-3][1])
-        d2 = np.abs(history[-1][1] - history[-2][1])
-        for i in range(k):
-            orders[i] = log2(d1[i] / d2[i]) if d1[i] > 0.0 and d2[i] > 0.0 else None
+    orders = _observed_orders([top for _, top in history])
 
     # Raw per-mode values carry the merge; extrapolation is then applied
     # per sorted slot, which is stable because sorting is shared between
@@ -642,6 +637,15 @@ def _build_pairs(
     return pairs
 
 
+def _observed_orders(history: Sequence[np.ndarray]) -> list[float | None]:
+    """Order per value from the last three doubled grids; None where undefined."""
+    if len(history) < 3:
+        return [None] * len(history[-1])
+    d1 = np.abs(history[-2] - history[-3])
+    d2 = np.abs(history[-1] - history[-2])
+    return [log2(a / b) if a > 0.0 and b > 0.0 else None for a, b in zip(d1, d2)]
+
+
 def convergence_table(
     domain: CapDomain,
     k: int,
@@ -664,13 +668,7 @@ def convergence_table(
         top = np.array([c[0] for c in cand[:k]])
         warm = bases
         history.append(top)
-        orders: list[float | None] = [None] * k
-        if len(history) >= 3:
-            d1 = np.abs(history[-2] - history[-3])
-            d2 = np.abs(history[-1] - history[-2])
-            for i in range(k):
-                orders[i] = log2(d1[i] / d2[i]) if d1[i] > 0.0 and d2[i] > 0.0 else None
-        rows.append((N, [float(v) for v in top], orders))
+        rows.append((N, [float(v) for v in top], _observed_orders(history)))
         N *= 2
     return rows
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import comb, pi
+from math import comb, isfinite, pi
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import InsufficientModes, InvalidInput, NonPositive, SingularTerm, Unsorted
@@ -87,7 +87,7 @@ class ValidationResult:
 
 
 def validate_spectrum(s: Spectrum) -> ValidationResult:
-    """Check ordering, positivity and the lambda > n - 2 domain condition.
+    """Check dimension, finiteness, ordering, positivity and lambda > n - 2.
 
     A first value below n is only flagged, not rejected: user-supplied
     spectra may be hypothetical, and every bound formula remains well
@@ -95,9 +95,14 @@ def validate_spectrum(s: Spectrum) -> ValidationResult:
     """
     errors: list[Exception] = []
     vals = s.values
+    if s.n < 2:
+        errors.append(InvalidInput(f"ambient dimension must be >= 2, got {s.n!r}"))
     if not vals:
         errors.append(NonPositive("spectrum is empty"))
         return ValidationResult(tuple(errors), False)
+    if not all(isfinite(v) for v in vals):
+        # NaN compares false with everything, so it would pass every test below.
+        errors.append(InvalidInput(f"values must be finite: {vals}"))
     if any(b < a for a, b in zip(vals, vals[1:])):
         errors.append(Unsorted(f"values not nondecreasing: {vals}"))
     if any(v <= 0.0 for v in vals):
@@ -192,7 +197,11 @@ def spectrum_from_json(text: str) -> tuple[Spectrum, CapDomain | None]:
         if dom_doc.get("type") != "cap":
             raise InvalidInput(f"unknown domain type {dom_doc.get('type')!r}")
         domain = CapDomain(n=n, theta0=float(dom_doc["theta0"]))
-    return Spectrum(n=n, values=values, meta=meta), domain
+    spectrum = Spectrum(n=n, values=values, meta=meta)
+    errors = validate_spectrum(spectrum).errors
+    if errors:
+        raise errors[0]
+    return spectrum, domain
 
 
 def save_spectrum(path: str, s: Spectrum, domain: CapDomain | None = None) -> None:

@@ -334,6 +334,37 @@ class TestRecordsAndReport:
         r2 = CheckRecord.make("yang15", 1.0 + 1e-9, 1.0)
         assert not r2.holds
 
+    @given(spectra(min_k=2), st.floats(0.0, 50.0), st.booleans())
+    @settings(max_examples=100)
+    def test_report_checks_equal_standalone_functions(self, s, bump, default_next):
+        # build_report evaluates each sum once; every record it emits must be
+        # bit-for-bit the one the standalone public function returns.
+        k = len(s.values) - 1
+        lam_next = None if default_next else s.values[k] + bump
+        grid = default_delta_grid(points=7)
+        rep = build_report(s, k, lambda_next=lam_next, delta_grid=grid)
+        upper, gap, lower = bound_next(s, k)
+        ln = upper if lam_next is None else lam_next
+        assert (rep.S, rep.T) == compute_S_T(s, k)
+        assert (rep.upper_next, rep.gap_upper, rep.lower_prev) == (upper, gap, lower)
+        try:
+            star = optimal_delta(s, k, ln)
+        except AllGapsZero:
+            star = (None, None)
+        assert (rep.delta_star, rep.minimized) == star
+        expect = [
+            check_theorem(s, k, ln),
+            check_yang(s, k, ln),
+            CheckRecord.make("upper16", ln, upper),
+            CheckRecord.make("gap17", ln - s.values[k - 1], gap),
+            CheckRecord.make("lower216", lower, s.values[k - 1]),
+            chebyshev_check(s, k, ln),
+        ]
+        for d, wx, new, _gap in dominance_gap(s, k, ln, grid):
+            expect.append(wangxia_rhs(s, k, ln, d))
+            expect.append(CheckRecord.make("dominance", new, wx, delta=d))
+        assert list(rep.checks) == expect
+
     def test_build_report_ids_and_csv(self):
         s = spec(2, 2.0, 6.0)
         rep = build_report(s, 1, lambda_next=6.0, theta0=1.0, meta={"N": 64})

@@ -380,6 +380,35 @@ class TestCli:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "eigenvalues": [2.0, NaN]}',
+            '{"n": 2, "eigenvalues": [2.0, Infinity]}',
+            '{"n": 1, "eigenvalues": [2.0, 3.0]}',
+            '{"n": 2, "eigenvalues": [6.0, 3.0]}',
+        ],
+        ids=["nan", "inf", "n1", "unsorted"],
+    )
+    def test_bounds_malformed_spectrum_exits_4(self, tmp_path, capsys, text):
+        spath = tmp_path / "s.json"
+        spath.write_text(text)
+        assert cli.main(["bounds", "--spectrum", str(spath), "--k", "2"]) == 4
+
+    def test_bounds_overflow_exits_4(self, tmp_path, capsys):
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps({"n": 3, "eigenvalues": [1e160, 2e160]}))
+        assert cli.main(["bounds", "--spectrum", str(spath), "--k", "1"]) == 4
+
+    def test_compare_overflow_exits_4(self, tmp_path, capsys):
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps({"n": 2, "eigenvalues": [2.0]}))
+        code = cli.main(
+            ["compare", "--spectrum", str(spath), "--k", "1", "--lambda-next", "3e160"]
+        )
+        assert code == 4
+        assert capsys.readouterr().out == ""
+
     def test_verify_mini_campaign(self, tmp_path, capsys):
         cfg = _write_mini_config(tmp_path)
         out = tmp_path / "report.json"

@@ -143,6 +143,15 @@ class TestJson:
             spectrum_from_json("not json at all {")
         with pytest.raises(InvalidInput):
             spectrum_from_json(json.dumps({"n": 2, "eigenvalues": "nope"}))
+        # Spectra the bounds cannot be evaluated on are rejected at load.
+        for text in (
+            '{"n": 2, "eigenvalues": [2.0, NaN]}',
+            '{"n": 2, "eigenvalues": [2.0, Infinity]}',
+            '{"n": 1, "eigenvalues": [2.0, 3.0]}',
+            '{"n": 2, "eigenvalues": [6.0, 3.0]}',
+        ):
+            with pytest.raises(InvalidInput):
+                spectrum_from_json(text)
 
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "eigs.json"
