@@ -20,25 +20,30 @@ through the boundary face, and the slope condition through a mirror
 ghost. Imposing the pair this way leaves no spurious boundary modes: the
 lowest eigenvalue is increasing in m, as interlacing predicts.
 
-Eigenvalues come from subspace iteration on the factored form A = K^T K
-with K = sqrt(W) L. A Givens band-QR of K supplies a solver for A whose
-backward error scales with the square root of A's condition number
-(direct Cholesky-of-A solves lose the high end of the spectrum at fine
-grids), and Ritz forms are assembled cancellation-free as (KZ)^T(KZ) and
-Z^T(BZ). Accepted pairs are residual-checked against an evaluation-noise
-floor estimated from absolute-value matvecs; below that floor a residual
-is not measurable in double precision.
+Each mode is kept in factored form, A = K^T K with K = sqrt(W) L and
+B = D^T D + mass, as sparse matrices. Eigenpairs come from ARPACK's
+shift-invert Lanczos at zero (scipy's eigsh). Its solves with A go through
+one LAPACK banded LU of the augmented system [[-I, K], [K^T, 0]], whose
+forward error scales with cond(K), the square root of A's condition
+number; direct Cholesky-of-A solves lose the high end of the spectrum at
+fine grids. The values are then re-derived from the Ritz forms
+(KZ)^T(KZ) and Z^T(BZ), which are cancellation-free. Accepted pairs are
+residual-checked against an evaluation-noise floor estimated from
+absolute-value matvecs; below that floor a residual is not measurable in
+double precision. scipy.sparse is imported on first use, so importing the
+package stays cheap for the bounds-only commands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil, log2
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh, solve_banded
+from scipy.linalg import eigh
 from scipy.linalg import LinAlgError as ScipyLinAlgError
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import (
     GridTooCoarse,
@@ -47,7 +52,10 @@ from .errors import (
     NotPositiveDefinite,
     UnsupportedMode,
 )
-from .spectrum import CapDomain, EigenPair, Spectrum, harmonic_multiplicity, merge_modes
+from .spectrum import CapDomain, EigenPair, Spectrum, harmonic_multiplicity
+
+if TYPE_CHECKING:
+    from scipy.sparse import spmatrix
 
 __all__ = [
     "ModeSystem",
@@ -64,7 +72,7 @@ EPS = float(np.finfo(np.float64).eps)
 
 # Residual contract for dense eigenpairs, relative to ||A x||.
 RESIDUAL_REL = 1e-10
-# The subspace engine certifies reported values rather than vectors: a
+# The Lanczos engine certifies reported values rather than vectors: a
 # relative residual r bounds the Ritz value error by about r^2 times the
 # spectral condition, so 1e-8 leaves value errors far below every
 # tolerance the refinement logic acts on.
@@ -72,16 +80,6 @@ ENGINE_RESIDUAL_REL = 1e-8
 # Safety factor over the evaluation-noise floor when a contract is
 # below what double precision can resolve.
 NOISE_SAFETY = 8.0
-
-# Subspace iteration: once the wanted Ritz values repeat twice within
-# RITZ_STABLE relative, the residual certificate decides acceptance.
-# The gate sits well above the projected problem's evaluation jitter
-# (up to ~2e-11 on the stiffest desk-scale grids) and three orders
-# below the refinement tolerance the values feed; accuracy is certified
-# by residuals, not by the gate.
-RITZ_STABLE = 1e-9
-MAX_SUBSPACE_ITERS = 80
-SUBSPACE_EXTRA = 6
 
 
 def angular_eigenvalue(m: int, n: int) -> float:
@@ -120,8 +118,8 @@ class ModeSystem:
 
     The constrained unknowns y are the first N-1 cell values; the last
     cell is the dependent value y_{N-2}/3 fixed by the rim constraint.
-    A and B materialize the dense reduced matrices on demand; the band
-    arrays are what the iterative engine consumes.
+    The engine works with the sparse factors, A = K^T K and
+    B = D^T D + mass; A and B materialize the dense reduced matrices.
     """
 
     n: int
@@ -130,13 +128,9 @@ class ModeSystem:
     mu: float
     N: int
     grid: np.ndarray = field(repr=False)
-    _kl: np.ndarray = field(repr=False)
-    _kd: np.ndarray = field(repr=False)
-    _ku: np.ndarray = field(repr=False)
-    _dl: np.ndarray = field(repr=False)
-    _dd: np.ndarray = field(repr=False)
-    _face_end: float = field(repr=False)
-    _mass: np.ndarray = field(repr=False)
+    K: spmatrix = field(repr=False)
+    D: spmatrix = field(repr=False)
+    mass: spmatrix = field(repr=False)
 
     @property
     def M(self) -> int:
@@ -144,49 +138,27 @@ class ModeSystem:
 
     @property
     def A(self) -> np.ndarray:
-        K = self._dense_K()
-        return K.T @ K
+        return (self.K.T @ self.K).toarray()
 
     @property
     def B(self) -> np.ndarray:
-        D = self._dense_D()
-        return D.T @ D + np.diag(self._mass)
-
-    def _dense_K(self) -> np.ndarray:
-        N, M = self.N, self.M
-        K = np.zeros((N, M))
-        for i in range(N):
-            if 1 <= i and i - 1 < M:
-                K[i, i - 1] += self._kl[i]
-            if i < M:
-                K[i, i] += self._kd[i]
-            if i + 1 < M:
-                K[i, i + 1] += self._ku[i]
-        return K
-
-    def _dense_D(self) -> np.ndarray:
-        N, M = self.N, self.M
-        D = np.zeros((N + 1, M))
-        for j in range(1, N):
-            D[j, j - 1] += self._dl[j]
-            if j < M:
-                D[j, j] += self._dd[j]
-        D[N, M - 1] = self._face_end
-        return D
+        return (self.D.T @ self.D + self.mass).toarray()
 
 
 def assemble_mode(domain: CapDomain, m: int, N: int) -> ModeSystem:
     """Build the constrained mode system on N cells.
 
-    The factor K = sqrt(w) L carries the clamped-value fold: the column
-    of the dependent last cell is folded onto column N-2 with weight 1/3.
-    The gradient factor D differences across faces, with the rim face
+    The factor K = sqrt(w) L and the gradient factor D act on all N cell
+    values through `fold`, which appends the dependent last cell
+    y_{N-2}/3 to y. D differences across faces, with the rim face
     contributing the one-sided slope to the zero boundary value.
     """
     if N < 16:
         raise GridTooCoarse(f"need N >= 16 cells, got {N}")
     if m < 0:
         raise InvalidInput(f"azimuthal index must be >= 0, got {m}")
+    from scipy import sparse
+
     n, theta0 = domain.n, domain.theta0
     h = theta0 / N
     th = (np.arange(N) + 0.5) * h
@@ -194,34 +166,21 @@ def assemble_mode(domain: CapDomain, m: int, N: int) -> ModeSystem:
     sin = np.sin(th)
     sig = sin ** (n - 1)
     sub, diag, sup = radial_stencil(n, theta0, m, N)
-    diag = diag.copy()
     diag[N - 1] += sup[N - 1]  # mirror ghost: clamped slope at the rim
-    sw = np.sqrt(sig * h)
+    last = np.r_[np.zeros(N - 2), 1.0 / 3.0]
+    fold = sparse.diags([np.ones(N - 1), last], [0, -1], shape=(N, N - 1))
+    L = sparse.diags([sub[1:], diag, sup[:-1]], [-1, 0, 1])
+    K = (sparse.diags(np.sqrt(sig * h)) @ L @ fold).tocsr()
 
-    kl = np.zeros(N)
-    kd = sw * diag
-    ku = np.zeros(N)
-    kl[1:] = sw[1:] * sub[1:]
-    ku[: N - 1] = sw[: N - 1] * sup[: N - 1]
-    # Fold the dependent column: entries at column N-1 move to N-2 with 1/3.
-    kd[N - 2] += ku[N - 2] / 3.0
-    ku[N - 2] = 0.0
-    kl[N - 1] += kd[N - 1] / 3.0
-    kd[N - 1] = 0.0
-
-    thf = np.arange(N + 1) * h
-    swf = np.sqrt(np.sin(thf) ** (n - 1) * h)
-    dl = np.zeros(N + 1)
-    dd = np.zeros(N + 1)
-    dl[1:N] = -swf[1:N] / h
-    dd[1:N] = swf[1:N] / h
-    dl[N - 1] += dd[N - 1] / 3.0  # same fold in the gradient factor
-    dd[N - 1] = 0.0
-    face_end = -2.0 * swf[N] / (3.0 * h)
+    swf = np.sqrt(np.sin(np.arange(N + 1) * h) ** (n - 1) * h)
+    rim = np.full(N, -1.0 / h)
+    rim[N - 1] = -2.0 / h  # rim face: slope to the zero boundary value
+    grad = sparse.diags([np.full(N, 1.0 / h), rim], [0, -1], shape=(N + 1, N))
+    D = (sparse.diags(swf) @ grad @ fold).tocsr()
 
     mass = mu * sig * h / sin**2
     mass_c = mass[: N - 1].copy()
-    mass_c[N - 2] += mass[N - 1] / 9.0
+    mass_c[N - 2] += mass[N - 1] / 9.0  # fold^T diag(mass) fold is diagonal
 
     return ModeSystem(
         n=n,
@@ -230,134 +189,50 @@ def assemble_mode(domain: CapDomain, m: int, N: int) -> ModeSystem:
         mu=mu,
         N=N,
         grid=th,
-        _kl=kl,
-        _kd=kd,
-        _ku=ku,
-        _dl=dl,
-        _dd=dd,
-        _face_end=face_end,
-        _mass=mass_c,
+        K=K,
+        D=D,
+        mass=sparse.diags(mass_c),
     )
 
 
-def _apply_K(sys_: ModeSystem, X: np.ndarray, absval: bool = False) -> np.ndarray:
-    N, M = sys_.N, sys_.M
-    kl, kd, ku = sys_._kl, sys_._kd, sys_._ku
-    if absval:
-        kl, kd, ku = np.abs(kl), np.abs(kd), np.abs(ku)
-    Y = np.zeros((N, X.shape[1]))
-    Y[:M] += kd[:M, None] * X
-    Y[1 : M + 1] += kl[1 : M + 1, None] * X
-    Y[: M - 1] += ku[: M - 1, None] * X[1:]
-    return Y
-
-
 def _apply_A(sys_: ModeSystem, X: np.ndarray, absval: bool = False) -> np.ndarray:
-    M = sys_.M
-    kl, kd, ku = sys_._kl, sys_._kd, sys_._ku
-    if absval:
-        kl, kd, ku = np.abs(kl), np.abs(kd), np.abs(ku)
-    KX = _apply_K(sys_, X, absval=absval)
-    Y = np.zeros_like(X)
-    Y += kd[:M, None] * KX[:M]
-    Y += kl[1 : M + 1, None] * KX[1 : M + 1]
-    Y[1:M] += ku[: M - 1, None] * KX[: M - 1]
-    return Y
+    K = abs(sys_.K) if absval else sys_.K
+    return K.T @ (K @ X)
 
 
 def _apply_B(sys_: ModeSystem, X: np.ndarray, absval: bool = False) -> np.ndarray:
-    N, M = sys_.N, sys_.M
-    dl, dd, fe = sys_._dl, sys_._dd, sys_._face_end
-    mass = sys_._mass
-    if absval:
-        dl, dd, fe, mass = np.abs(dl), np.abs(dd), abs(fe), np.abs(mass)
-    G = np.zeros((N + 1, X.shape[1]))
-    G[1:M] += dd[1:M, None] * X[1:M]
-    G[1:N] += dl[1:N, None] * X
-    G[N] = fe * X[M - 1]
-    Y = np.zeros_like(X)
-    Y[1:M] += dd[1:M, None] * G[1:M]
-    Y += dl[1:N, None] * G[1:N]
-    Y[M - 1] += fe * G[N]
-    Y += mass[:, None] * X
-    return Y
+    D = abs(sys_.D) if absval else sys_.D
+    return D.T @ (D @ X) + sys_.mass @ X
 
 
-def _band_qr(sys_: ModeSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Givens QR of the N x (N-1) factor K; returns R's three diagonals.
+def _A_solver(sys_: ModeSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver for A X = Y by one banded LU of [[-I, K], [K^T, 0]].
 
-    Rows are merged one at a time with plane rotations, so R is obtained
-    with backward error of order eps times sqrt(cond(A)), not cond(A).
+    Eliminating r = K X from the augmented system leaves K^T K X = Y, and
+    partial-pivoted LU of it has forward error of order eps cond(K) =
+    eps sqrt(cond(A)), as a QR of K does. Interleaving the unknowns as
+    r_0, x_0, r_1, x_1, ... makes the matrix banded with kl = ku = 3.
     """
+    from scipy import sparse
+
     N, M = sys_.N, sys_.M
-    kl, kd, ku = sys_._kl, sys_._kd, sys_._ku
-    Rrows: list[list[float] | None] = [None] * M
+    aug = sparse.bmat([[-sparse.eye(N), sys_.K], [sys_.K.T, None]], format="coo")
+    pos = np.r_[2 * np.arange(N), 2 * np.arange(M) + 1]
+    i, j = pos[aug.row], pos[aug.col]
+    ab = np.zeros((10, N + M))
+    ab[6 + i - j, j] = aug.data  # LAPACK band storage, 3 fill-in rows on top
+    lu, piv, info = dgbtrf(ab, 3, 3, overwrite_ab=1)
+    if info != 0:
+        raise NoConvergence(f"banded LU failed (info={info}) for mode m={sys_.m}, N={N}")
+    x = pos[N:]
 
-    def add_row(v: list[float], col: int) -> None:
-        while True:
-            while col < M and v[0] == 0.0 and (v[1] != 0.0 or v[2] != 0.0 or v[3] != 0.0):
-                v = [v[1], v[2], v[3], 0.0]
-                col += 1
-            if col >= M or all(x == 0.0 for x in v):
-                return
-            if Rrows[col] is None:
-                Rrows[col] = [v[0], v[1], v[2], v[3]]
-                return
-            R = Rrows[col]
-            a, b = R[0], v[0]
-            r = (a * a + b * b) ** 0.5
-            if r == 0.0:
-                return
-            c, s = a / r, b / r
-            Rrows[col] = [
-                r,
-                c * R[1] + s * v[1],
-                c * R[2] + s * v[2],
-                c * R[3] + s * v[3],
-            ]
-            v = [
-                -s * R[1] + c * v[1],
-                -s * R[2] + c * v[2],
-                -s * R[3] + c * v[3],
-                0.0,
-            ]
-            col += 1
+    def solve(Y: np.ndarray) -> np.ndarray:
+        rhs = np.zeros((N + M, Y.size // M))
+        rhs[x] = Y.reshape(M, -1)
+        out, _ = dgbtrs(lu, 3, 3, rhs, piv, overwrite_b=1)
+        return out[x].reshape(Y.shape)
 
-    for i in range(N):
-        if i == 0:
-            add_row([kd[0], ku[0], 0.0, 0.0], 0)
-        else:
-            add_row([kl[i], kd[i] if i < M else 0.0, ku[i] if i < M else 0.0, 0.0], i - 1)
-    r0 = np.zeros(M)
-    r1 = np.zeros(M)
-    r2 = np.zeros(M)
-    for j in range(M):
-        R = Rrows[j]
-        if R is None:
-            raise NoConvergence("rank-deficient operator factor")
-        r0[j] = R[0]
-        if j + 1 < M:
-            r1[j] = R[1]
-        if j + 2 < M:
-            r2[j] = R[2]
-    return r0, r1, r2
-
-
-def _solve_RtR(
-    r0: np.ndarray, r1: np.ndarray, r2: np.ndarray, Y: np.ndarray
-) -> np.ndarray:
-    """Solve (R^T R) X = Y by two triangular banded sweeps."""
-    M = len(r0)
-    lower = np.zeros((3, M))
-    lower[0] = r0
-    lower[1, : M - 1] = r1[: M - 1]
-    lower[2, : M - 2] = r2[: M - 2]
-    Z = solve_banded((2, 0), lower, Y)
-    upper = np.zeros((3, M))
-    upper[0, 2:] = r2[: M - 2]
-    upper[1, 1:] = r1[: M - 1]
-    upper[2] = r0
-    return solve_banded((0, 2), upper, Z)
+    return solve
 
 
 def _residuals_ok(sys_: ModeSystem, lam: np.ndarray, vecs: np.ndarray) -> tuple[bool, str]:
@@ -378,57 +253,42 @@ def _residuals_ok(sys_: ModeSystem, lam: np.ndarray, vecs: np.ndarray) -> tuple[
     )
 
 
-def _solve_mode(
-    sys_: ModeSystem,
-    count: int,
-    warm: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest `count` eigenvalues of one mode system, with Ritz basis.
+def _solve_mode(sys_: ModeSystem, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest `count` eigenvalues of one mode system, with Ritz vectors.
 
-    Subspace iteration preconditioned by exact solves with A: the iterate
-    Z = A^{-1} B X amplifies the low end, and the small projected problem
-    is solved densely. Returns (values, basis) with the basis columns
-    spanning the converged subspace (count + extra columns).
+    Shift-invert Lanczos (ARPACK) at zero, with exact solves by A, finds
+    the low end; at most M - 1 pairs can be requested. The values are then
+    re-derived cancellation-free from the Ritz forms (KZ)^T(KZ) and
+    Z^T(BZ), and every pair must meet the residual contract.
     """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     M = sys_.M
-    p = min(M, count + SUBSPACE_EXTRA)
-    r0, r1, r2 = _band_qr(sys_)
-    if warm is not None and warm.shape == (M, p):
-        X = warm.copy()
-    else:
-        i = np.arange(M)
-        X = np.sin(np.pi * np.outer((i + 0.5) / M, np.arange(1, p + 1)))
-    prev = None
-    hits = 0
-    failure = ""
-    for _ in range(MAX_SUBSPACE_ITERS):
-        Z = _solve_RtR(r0, r1, r2, _apply_B(sys_, X))
-        Z /= np.linalg.norm(Z, axis=0)[None, :]
-        KZ = _apply_K(sys_, Z)
-        G = KZ.T @ KZ
-        H = Z.T @ _apply_B(sys_, Z)
-        G = 0.5 * (G + G.T)
-        H = 0.5 * (H + H.T)
-        try:
-            vals, V = eigh(G, H)
-        except ScipyLinAlgError as exc:
-            raise NoConvergence(f"projected solve failed: {exc}") from exc
-        X = Z @ V
-        cur = vals[:count]
-        if prev is not None and np.all(np.abs(cur - prev) <= RITZ_STABLE * np.abs(cur)):
-            hits += 1
-            if hits >= 2:
-                ok, failure = _residuals_ok(sys_, cur, X[:, :count])
-                if ok:
-                    return cur.copy(), X
-                hits = 1  # values are stable; keep working on the vectors
-        else:
-            hits = 0
-        prev = cur
-    raise NoConvergence(
-        failure
-        or f"subspace iteration stalled for mode m={sys_.m} at N={sys_.N}"
-    )
+
+    def op(matvec):
+        return LinearOperator((M, M), matvec=matvec, dtype=float)
+
+    A = op(lambda x: _apply_A(sys_, x))
+    B = op(lambda x: _apply_B(sys_, x))
+    v0 = np.sin(np.pi * (np.arange(M) + 0.5) / M)  # fixed start: deterministic runs
+    try:
+        _, Z = eigsh(A, min(count, M - 1), M=B, sigma=0.0, OPinv=op(_A_solver(sys_)), v0=v0)
+    except ArpackError as exc:
+        raise NoConvergence(
+            f"Lanczos failed for mode m={sys_.m} at N={sys_.N}: {exc}"
+        ) from exc
+    KZ = sys_.K @ Z
+    G = KZ.T @ KZ
+    H = Z.T @ _apply_B(sys_, Z)
+    try:
+        vals, V = eigh(0.5 * (G + G.T), 0.5 * (H + H.T))
+    except ScipyLinAlgError as exc:
+        raise NoConvergence(f"projected solve failed: {exc}") from exc
+    X = Z @ V
+    ok, failure = _residuals_ok(sys_, vals, X)
+    if not ok:
+        raise NoConvergence(failure)
+    return vals, X
 
 
 def solve_gevp(
@@ -479,37 +339,37 @@ def solve_gevp(
 
 
 def _mode_sweep(
-    domain: CapDomain,
-    N: int,
-    k: int,
-    warm: dict[int, np.ndarray] | None,
-) -> tuple[list[tuple[float, int, int]], dict[int, np.ndarray], int]:
+    domain: CapDomain, N: int, k: int
+) -> tuple[list[tuple[float, int, int]], dict[int, tuple[ModeSystem, np.ndarray]], int]:
     """Solve modes m = 0, 1, ... until the k smallest merged values are safe.
 
     Interlacing makes the lowest eigenvalue increase with m, so the sweep
     stops once mode m opens above the current k-th candidate; the
     heuristic is still verified and two extra modes are swept whenever a
-    violation appears. Returns ((value, m, index) candidates sorted, the
-    Ritz bases for warm-starting, mode cutoff).
+    violation appears. A candidate past the k-th can never return to the
+    top k, so it is dropped with its Ritz vector as soon as it falls
+    there. Returns (the k smallest (value, m, index) candidates sorted,
+    the system and Ritz vectors of each mode they use, mode cutoff).
     """
     n = domain.n
     cand: list[tuple[float, int, int]] = []
-    bases: dict[int, np.ndarray] = {}
+    modes: dict[int, tuple[ModeSystem, np.ndarray]] = {}
     m = 0
     extra = 0
     prev_lowest = -np.inf
     while True:
-        count_m = max(1, ceil(k / harmonic_multiplicity(n, m)))
-        sys_ = assemble_mode(domain, m, N)
-        w = None
-        if warm is not None and m in warm:
-            w = _interp_columns(warm[m], sys_.M)
-        vals, X = _solve_mode(sys_, count_m, warm=w)
-        bases[m] = X
         mult = harmonic_multiplicity(n, m)
+        sys_ = assemble_mode(domain, m, N)
+        vals, X = _solve_mode(sys_, max(1, ceil(k / mult)))
+        modes[m] = (sys_, X)
         for j, v in enumerate(vals):
             cand.extend([(float(v), m, j)] * mult)
         cand.sort(key=lambda t: t[0])
+        del cand[k:]
+        width: dict[int, int] = {}
+        for _, i, j in cand:
+            width[i] = max(width.get(i, 0), j + 1)
+        modes = {i: (modes[i][0], modes[i][1][:, :w].copy()) for i, w in width.items()}
         kth = cand[k - 1][0] if len(cand) >= k else np.inf
         lowest = float(vals[0])
         if lowest < prev_lowest:
@@ -517,21 +377,11 @@ def _mode_sweep(
         prev_lowest = lowest
         if len(cand) >= k and lowest > kth:
             if extra == 0:
-                return cand, bases, m
+                return cand, modes, m
             extra -= 1
         m += 1
         if m > 64:
             raise NoConvergence("azimuthal sweep did not close by m = 64")
-
-
-def _interp_columns(X: np.ndarray, M_new: int) -> np.ndarray:
-    """Linear interpolation of cell-sampled columns onto a finer cell grid."""
-    M_old = X.shape[0]
-    idx = (np.arange(M_new) + 0.5) * (M_old / M_new) - 0.5
-    i0 = np.clip(np.floor(idx).astype(int), 0, M_old - 1)
-    i1 = np.clip(i0 + 1, 0, M_old - 1)
-    fr = (idx - i0)[:, None]
-    return (1.0 - fr) * X[i0] + fr * X[i1]
 
 
 def solve_cap(
@@ -553,15 +403,12 @@ def solve_cap(
         raise InvalidInput(f"k must be >= 1, got {k}")
     N = N0
     history: list[tuple[int, np.ndarray]] = []
-    warm: dict[int, np.ndarray] | None = None
-    cand: list[tuple[float, int, int]] = []
-    mode_cutoff = 0
     converged = False
     for _ in range(max_refinements + 1):
-        cand, bases, mode_cutoff = _mode_sweep(domain, N, k, warm)
-        top = np.array([c[0] for c in cand[:k]])
+        modes = {}  # release the coarser level's systems before the finer sweep
+        cand, modes, mode_cutoff = _mode_sweep(domain, N, k)
+        top = np.array([c[0] for c in cand])
         history.append((N, top))
-        warm = bases
         if len(history) >= 2:
             prev, cur = history[-2][1], history[-1][1]
             change = float(np.max(np.abs(cur - prev) / np.abs(cur)))
@@ -582,44 +429,32 @@ def solve_cap(
     extrapolated = (4.0 * fine - coarse) / 3.0
     orders = _observed_orders([top for _, top in history])
 
-    # Raw per-mode values carry the merge; extrapolation is then applied
-    # per sorted slot, which is stable because sorting is shared between
-    # the last two grids once the sweep has settled.
-    mode_lists: dict[int, list[float]] = {}
-    for v, m, j in cand:
-        lst = mode_lists.setdefault(m, [])
-        if j == len(lst):
-            lst.append(v)
-    spectrum_raw = merge_modes(mode_lists, n=domain.n, k=k)
+    # Extrapolation is applied per sorted slot, which is stable because
+    # sorting is shared between the last two grids once the sweep has
+    # settled.
     meta: dict[str, Any] = {
         "N": N_final,
         "mode_cutoff": mode_cutoff,
         "order": orders,
-        "raw": [float(v) for v in spectrum_raw.values],
+        "raw": [float(v) for v in fine],
     }
     spectrum = Spectrum(n=domain.n, values=tuple(float(v) for v in extrapolated), meta=meta)
 
-    pairs = _build_pairs(domain, cand[:k], warm or {}, N_final, extrapolated)
+    pairs = _build_pairs(cand, modes, N_final, extrapolated)
     return spectrum, pairs
 
 
 def _build_pairs(
-    domain: CapDomain,
     cand: Sequence[tuple[float, int, int]],
-    bases: dict[int, np.ndarray],
+    modes: dict[int, tuple[ModeSystem, np.ndarray]],
     N: int,
     values: np.ndarray,
 ) -> list[EigenPair]:
     pairs: list[EigenPair] = []
-    systems: dict[int, ModeSystem] = {}
     for slot, (_, m, j) in enumerate(cand):
-        sys_ = systems.get(m)
-        if sys_ is None:
-            sys_ = assemble_mode(domain, m, N)
-            systems[m] = sys_
-        y = bases[m][:, j].copy()
-        By = _apply_B(sys_, y[:, None])[:, 0]
-        y /= np.sqrt(float(y @ By))
+        sys_, X = modes[m]
+        y = X[:, j].copy()
+        y /= np.sqrt(float(y @ _apply_B(sys_, y)))
         imax = int(np.argmax(np.abs(y)))
         if y[imax] < 0.0:
             y = -y
@@ -661,12 +496,10 @@ def convergence_table(
         raise InvalidInput(f"need at least 2 levels, got {levels}")
     rows: list[tuple[int, list[float], list[float | None]]] = []
     history: list[np.ndarray] = []
-    warm: dict[int, np.ndarray] | None = None
     N = N0
     for _ in range(levels):
-        cand, bases, _ = _mode_sweep(domain, N, k, warm)
-        top = np.array([c[0] for c in cand[:k]])
-        warm = bases
+        cand, _, _ = _mode_sweep(domain, N, k)
+        top = np.array([c[0] for c in cand])
         history.append(top)
         rows.append((N, [float(v) for v in top], _observed_orders(history)))
         N *= 2

@@ -374,6 +374,22 @@ class TestCli:
         )
         assert code == 2
 
+    def test_bounds_default_candidate_exits_0(self, tmp_path, capsys):
+        # At the default candidate (the quadratic upper bound, not an
+        # eigenvalue) thm14 and wx13 fail; that is no counterexample.
+        spath = tmp_path / "s.json"
+        spath.write_text(
+            json.dumps({"n": 2, "eigenvalues": [14.699879062028382, 26.374177859854655]})
+        )
+        code = cli.main(["bounds", "--spectrum", str(spath), "--k", "2"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        failed = {c["inequality_id"] for c in doc["checks"] if not c["holds"]}
+        assert failed == {"thm14", "wx13"}
+        lam = repr(doc["upper_next"])
+        code = cli.main(["bounds", "--spectrum", str(spath), "--k", "2", "--lambda-next", lam])
+        assert code == 2
+
     def test_bounds_missing_file_exits_4(self, tmp_path, capsys):
         code = cli.main(
             ["bounds", "--spectrum", str(tmp_path / "none.json"), "--k", "1"]

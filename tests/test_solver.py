@@ -1,6 +1,9 @@
 """Radial systems, eigensolvers, refinement control, energy identity."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +215,37 @@ class TestBandedEngine:
         gram = gram / np.outer(d, d)
         assert np.abs(gram - np.eye(5)).max() < 1e-8
 
+    def test_fine_grid_values_pinned(self):
+        # Values the Givens band-QR engine gave at the finest campaign
+        # grid, where shift-invert with a Cholesky of A is about 7% off.
+        sys_ = assemble_mode(CapDomain(2, 3.0), 0, 32768)
+        lam, _ = _solve_mode(sys_, 3)
+        want = [2.0291354539502793, 6.138095925678098, 12.363521247262648]
+        for got, w in zip(lam, want):
+            assert abs(got - w) <= 1e-9 * w
+
+    def test_lanczos_failure_maps_to_no_convergence(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def boom(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("synthetic failure", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", boom)
+        with pytest.raises(NoConvergence):
+            _solve_mode(assemble_mode(CapDomain(2, 1.0), 0, 64), 2)
+
+    def test_import_leaves_sparse_unloaded(self):
+        # The bounds-only commands never solve; keep their start-up cheap.
+        import spherebuckle
+
+        src = os.path.dirname(os.path.dirname(spherebuckle.__file__))
+        code = "import sys, spherebuckle; print('scipy.sparse' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestSolveCap:
     def test_flat_limit_with_multiplicity(self):
@@ -249,6 +283,12 @@ class TestSolveCap:
     def test_no_convergence_when_starved(self):
         with pytest.raises(NoConvergence):
             solve_cap(CapDomain(2, 1.0), 3, N0=32, max_refinements=1, rel_tol=1e-14)
+
+    def test_k_above_coarse_grid_size_is_no_convergence(self):
+        # k = 15 exceeds what a 16-cell grid can hold (M - 1 = 14 values
+        # per mode); the request is clamped and refinement then stalls.
+        with pytest.raises(NoConvergence):
+            solve_cap(CapDomain(2, 1.0), 15, N0=16)
 
     def test_requires_positive_k(self):
         with pytest.raises(InvalidInput):
