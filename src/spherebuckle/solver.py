@@ -21,17 +21,21 @@ ghost. Imposing the pair this way leaves no spurious boundary modes: the
 lowest eigenvalue is increasing in m, as interlacing predicts.
 
 Each mode is kept in factored form, A = K^T K with K = sqrt(W) L and
-B = D^T D + mass, as sparse matrices. Eigenpairs come from ARPACK's
-shift-invert Lanczos at zero (scipy's eigsh). Its solves with A go through
-one LAPACK banded LU of the augmented system [[-I, K], [K^T, 0]], whose
-forward error scales with cond(K), the square root of A's condition
-number; direct Cholesky-of-A solves lose the high end of the spectrum at
-fine grids. The values are then re-derived from the Ritz forms
-(KZ)^T(KZ) and Z^T(BZ), which are cancellation-free. Accepted pairs are
-residual-checked against an evaluation-noise floor estimated from
-absolute-value matvecs; below that floor a residual is not measurable in
-double precision. scipy.sparse is imported on first use, so importing the
-package stays cheap for the bounds-only commands.
+B = D^T D + mass, as sparse matrices. B is tridiagonal, so its Cholesky
+factor R (B = R^T R) is upper bidiagonal, and A f = Lambda B f becomes
+the standard symmetric problem R A^{-1} R^T x = x / Lambda with x = R f
+(the spectral transformation of Ericsson and Ruhe). ARPACK's Lanczos
+(scipy's eigsh) finds its largest values without ever applying B. The
+solves with A go through one LAPACK banded LU of the augmented system
+[[-I, K], [K^T, 0]], whose forward error scales with cond(K), the square
+root of A's condition number; direct Cholesky-of-A solves lose the high
+end of the spectrum at fine grids. The values are then re-derived from
+the Ritz forms (KZ)^T(KZ) and Z^T(BZ) with Z = R^{-1} X, which are
+cancellation-free. Accepted pairs are residual-checked against an
+evaluation-noise floor estimated from absolute-value matvecs; below that
+floor a residual is not measurable in double precision. scipy.sparse is
+imported on first use, so importing the package stays cheap for the
+bounds-only commands.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg import LinAlgError as ScipyLinAlgError
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dtbtrs
 
 from .errors import (
     GridTooCoarse,
@@ -119,7 +123,8 @@ class ModeSystem:
     The constrained unknowns y are the first N-1 cell values; the last
     cell is the dependent value y_{N-2}/3 fixed by the rim constraint.
     The engine works with the sparse factors, A = K^T K and
-    B = D^T D + mass; A and B materialize the dense reduced matrices.
+    B = D^T D + mass (tridiagonal); A and B materialize the dense reduced
+    matrices.
     """
 
     n: int
@@ -253,30 +258,57 @@ def _residuals_ok(sys_: ModeSystem, lam: np.ndarray, vecs: np.ndarray) -> tuple[
     )
 
 
+def _B_cholesky(sys_: ModeSystem) -> np.ndarray:
+    """Upper bidiagonal R with B = R^T R, in LAPACK band storage.
+
+    R[1] is the diagonal of R and R[0, 1:] its superdiagonal.
+    """
+    B = sys_.D.T @ sys_.D + sys_.mass
+    ab = np.zeros((2, sys_.M))
+    ab[0, 1:] = B.diagonal(1)
+    ab[1] = B.diagonal()
+    R, info = dpbtrf(ab, overwrite_ab=1)
+    if info != 0:
+        raise NoConvergence(
+            f"Cholesky of B failed (info={info}) for mode m={sys_.m}, N={sys_.N}"
+        )
+    return R
+
+
 def _solve_mode(sys_: ModeSystem, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest `count` eigenvalues of one mode system, with Ritz vectors.
 
-    Shift-invert Lanczos (ARPACK) at zero, with exact solves by A, finds
-    the low end; at most M - 1 pairs can be requested. The values are then
-    re-derived cancellation-free from the Ritz forms (KZ)^T(KZ) and
-    Z^T(BZ), and every pair must meet the residual contract.
+    Lanczos (ARPACK) finds the largest eigenvalues 1/Lambda of the
+    symmetric operator R A^{-1} R^T, where B = R^T R, with exact solves by
+    A; at most M - 1 pairs can be requested. Its vectors X map back to
+    Z = R^{-1} X. The values are then re-derived cancellation-free from the
+    Ritz forms (KZ)^T(KZ) and Z^T(BZ), and every pair must meet the
+    residual contract.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     M = sys_.M
+    R = _B_cholesky(sys_)
+    diag, sup = R[1], R[0, 1:]
+    solve = _A_solver(sys_)
 
-    def op(matvec):
-        return LinearOperator((M, M), matvec=matvec, dtype=float)
+    def matvec(x: np.ndarray) -> np.ndarray:
+        y = diag * x
+        y[1:] += sup * x[:-1]  # R^T x
+        y = solve(y)
+        out = diag * y
+        out[:-1] += sup * y[1:]  # R y
+        return out
 
-    A = op(lambda x: _apply_A(sys_, x))
-    B = op(lambda x: _apply_B(sys_, x))
+    op = LinearOperator((M, M), matvec=matvec, dtype=float)
     v0 = np.sin(np.pi * (np.arange(M) + 0.5) / M)  # fixed start: deterministic runs
     try:
-        _, Z = eigsh(A, min(count, M - 1), M=B, sigma=0.0, OPinv=op(_A_solver(sys_)), v0=v0)
+        _, X = eigsh(op, min(count, M - 1), which="LA", v0=v0)
     except ArpackError as exc:
         raise NoConvergence(
             f"Lanczos failed for mode m={sys_.m} at N={sys_.N}: {exc}"
         ) from exc
+    Z, _ = dtbtrs(R, X)  # R has a positive diagonal, so it is nonsingular
     KZ = sys_.K @ Z
     G = KZ.T @ KZ
     H = Z.T @ _apply_B(sys_, Z)
@@ -465,8 +497,8 @@ def _build_pairs(
             EigenPair(
                 value=float(values[slot]),
                 m=m,
-                theta=tuple(float(t) for t in sys_.grid),
-                profile=tuple(float(f) for f in profile),
+                theta=tuple(sys_.grid.tolist()),
+                profile=tuple(profile.tolist()),
             )
         )
     return pairs

@@ -194,6 +194,20 @@ class TestBandedEngine:
         for a, b in zip(lam, dense):
             assert abs(a - b) <= 1e-9 * dense[0]
 
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("n,theta0", [(2, 1.0), (3, 2.0), (4, 3.0)])
+    def test_matches_dense_across_modes(self, n, theta0, m):
+        # m = 0 has no mass term, so there B = D^T D alone. The grid is
+        # coarser than above because the dense reference forms A = K^T K
+        # in floating point: at N = 256 that rounding alone moves the
+        # lowest m = 0 value by up to 3.4e-9 relative, while the engine,
+        # which works with K, is within 2e-13 of a 40-digit solution.
+        sys_ = assemble_mode(CapDomain(n, theta0), m, 128)
+        lam, _ = _solve_mode(sys_, 6)
+        dense = [v for v, _ in solve_gevp(sys_.A, sys_.B, 6)]
+        for a, b in zip(lam, dense):
+            assert abs(a - b) <= 1e-9 * dense[0]
+
     def test_lowest_eigenvalue_increases_with_mode(self):
         # The clamped discretization must be free of spurious low modes:
         # the first eigenvalue of each azimuthal channel interlaces upward.
@@ -233,6 +247,29 @@ class TestBandedEngine:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", boom)
         with pytest.raises(NoConvergence):
             _solve_mode(assemble_mode(CapDomain(2, 1.0), 0, 64), 2)
+
+    def test_cholesky_failure_maps_to_no_convergence(self, monkeypatch):
+        from spherebuckle import solver
+
+        monkeypatch.setattr(solver, "dpbtrf", lambda ab, **kwargs: (ab, 2))
+        with pytest.raises(NoConvergence, match=r"m=1, N=64"):
+            _solve_mode(assemble_mode(CapDomain(2, 1.0), 1, 64), 2)
+
+    def test_b_applied_a_fixed_number_of_times(self, monkeypatch):
+        # The Lanczos iteration works on R A^{-1} R^T and never applies
+        # B; only the Ritz step and the residual check do.
+        from spherebuckle import solver
+
+        calls = []
+        apply_B = solver._apply_B
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return apply_B(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_apply_B", counted)
+        _solve_mode(assemble_mode(CapDomain(2, 1.0), 0, 1024), 10)
+        assert len(calls) <= 3
 
     def test_import_leaves_sparse_unloaded(self):
         # The bounds-only commands never solve; keep their start-up cheap.
