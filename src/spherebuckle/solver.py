@@ -33,8 +33,16 @@ end of the spectrum at fine grids. The values are then re-derived from
 the Ritz forms (KZ)^T(KZ) and Z^T(BZ) with Z = R^{-1} X, which are
 cancellation-free. Accepted pairs are residual-checked against an
 evaluation-noise floor estimated from absolute-value matvecs; below that
-floor a residual is not measurable in double precision. scipy.sparse is
-imported on first use, so importing the package stays cheap for the
+floor a residual is not measurable in double precision.
+
+Every Lanczos pair costs iteration steps, each one A-solve, so each grid
+level asks a mode for one pair more than the coarser level kept from it
+in the top k (the first level asks for all ceil(k / mult) pairs a mode
+can contribute). The sweep then certifies its result: a mode that could
+contribute more and whose last returned value is under the final k-th
+candidate is solved again for twice the pairs. The merged values are
+those of a sweep that asks every mode for its full share. scipy.sparse
+is imported on first use, so importing the package stays cheap for the
 bounds-only commands.
 """
 
@@ -370,50 +378,90 @@ def solve_gevp(
     return out
 
 
+def _closing_mode(lowest: Sequence[float], kth: float) -> int | None:
+    """First mode whose lowest value closes the sweep against the k-th candidate.
+
+    Interlacing makes the lowest value increase with m, so no mode past
+    one that opens above kth can reach the top k; the heuristic is still
+    verified, and after any decrease two more such modes must follow.
+    None while no swept mode closes.
+    """
+    extra, prev = 0, -np.inf
+    for m, low in enumerate(lowest):
+        if low < prev:
+            extra = 2
+        prev = low
+        if low > kth:
+            if extra == 0:
+                return m
+            extra -= 1
+    return None
+
+
 def _mode_sweep(
-    domain: CapDomain, N: int, k: int
+    domain: CapDomain, N: int, k: int, widths: dict[int, int] | None = None
 ) -> tuple[list[tuple[float, int, int]], dict[int, tuple[ModeSystem, np.ndarray]], int]:
     """Solve modes m = 0, 1, ... until the k smallest merged values are safe.
 
-    Interlacing makes the lowest eigenvalue increase with m, so the sweep
-    stops once mode m opens above the current k-th candidate; the
-    heuristic is still verified and two extra modes are swept whenever a
-    violation appears. A candidate past the k-th can never return to the
-    top k, so it is dropped with its Ritz vector as soon as it falls
-    there. Returns (the k smallest (value, m, index) candidates sorted,
-    the system and Ritz vectors of each mode they use, mode cutoff).
+    Mode m holds at most cap = ceil(k / mult) candidates (clamped to the
+    M - 1 pairs Lanczos can return). Without `widths` every mode is
+    solved for its cap; with the Ritz widths a coarser grid kept in its
+    top k, mode m is solved for widths.get(m, 0) + 1 pairs, no more than
+    its cap. The sweep stops once a mode opens above the current k-th
+    candidate (`_closing_mode`). A candidate past the k-th can never
+    return to the top k, so it is dropped with its Ritz vector as soon as
+    it falls there.
+
+    Certificate: a mode's unrequested pairs lie above its last returned
+    value, and a top-up can only lower the k-th candidate. So once no
+    mode below its cap returns a last value under the final k-th
+    candidate, the top k equals that of a sweep solving every mode for
+    its cap; until then, such a mode is solved again on the same system
+    for twice as many pairs. The mode cutoff is then the closing mode
+    against the final k-th candidate; when the lowest values increase
+    with m, as interlacing predicts, the modes swept past it hold no
+    candidate. Returns (the k smallest (value, m, index) candidates
+    sorted, the system and Ritz vectors of each mode they use, mode
+    cutoff).
     """
     n = domain.n
     cand: list[tuple[float, int, int]] = []
     modes: dict[int, tuple[ModeSystem, np.ndarray]] = {}
-    m = 0
-    extra = 0
-    prev_lowest = -np.inf
-    while True:
+    solved: dict[int, tuple[int, int, float, float]] = {}  # m -> count, cap, lowest, last
+
+    def solve(sys_: ModeSystem, count: int, cap: int) -> None:
+        nonlocal modes
+        m = sys_.m
+        vals, X = _solve_mode(sys_, count)
+        solved[m] = (len(vals), cap, float(vals[0]), float(vals[-1]))
         mult = harmonic_multiplicity(n, m)
-        sys_ = assemble_mode(domain, m, N)
-        vals, X = _solve_mode(sys_, max(1, ceil(k / mult)))
-        modes[m] = (sys_, X)
+        cand[:] = [c for c in cand if c[1] != m]
         for j, v in enumerate(vals):
             cand.extend([(float(v), m, j)] * mult)
-        cand.sort(key=lambda t: t[0])
+        cand.sort()
         del cand[k:]
+        modes[m] = (sys_, X)
         width: dict[int, int] = {}
         for _, i, j in cand:
             width[i] = max(width.get(i, 0), j + 1)
         modes = {i: (modes[i][0], modes[i][1][:, :w].copy()) for i, w in width.items()}
+
+    while True:
         kth = cand[k - 1][0] if len(cand) >= k else np.inf
-        lowest = float(vals[0])
-        if lowest < prev_lowest:
-            extra = 2
-        prev_lowest = lowest
-        if len(cand) >= k and lowest > kth:
-            if extra == 0:
-                return cand, modes, m
-            extra -= 1
-        m += 1
-        if m > 64:
-            raise NoConvergence("azimuthal sweep did not close by m = 64")
+        cutoff = _closing_mode([low for _, _, low, _ in solved.values()], kth)
+        if cutoff is None:
+            m = len(solved)
+            if m > 64:
+                raise NoConvergence("azimuthal sweep did not close by m = 64")
+            sys_ = assemble_mode(domain, m, N)
+            cap = min(max(1, ceil(k / harmonic_multiplicity(n, m))), sys_.M - 1)
+            solve(sys_, cap if widths is None else min(widths.get(m, 0) + 1, cap), cap)
+            continue
+        short = [i for i, (count, cap, _, last) in solved.items() if count < cap and last < kth]
+        if not short:
+            return cand, modes, cutoff
+        count, cap, _, _ = solved[short[0]]
+        solve(modes[short[0]][0], min(2 * count, cap), cap)
 
 
 def solve_cap(
@@ -436,9 +484,11 @@ def solve_cap(
     N = N0
     history: list[tuple[int, np.ndarray]] = []
     converged = False
+    widths: dict[int, int] | None = None
     for _ in range(max_refinements + 1):
         modes = {}  # release the coarser level's systems before the finer sweep
-        cand, modes, mode_cutoff = _mode_sweep(domain, N, k)
+        cand, modes, mode_cutoff = _mode_sweep(domain, N, k, widths)
+        widths = {m: X.shape[1] for m, (_, X) in modes.items()}
         top = np.array([c[0] for c in cand])
         history.append((N, top))
         if len(history) >= 2:
@@ -529,8 +579,10 @@ def convergence_table(
     rows: list[tuple[int, list[float], list[float | None]]] = []
     history: list[np.ndarray] = []
     N = N0
+    widths: dict[int, int] | None = None
     for _ in range(levels):
-        cand, _, _ = _mode_sweep(domain, N, k)
+        cand, modes, _ = _mode_sweep(domain, N, k, widths)
+        widths = {m: X.shape[1] for m, (_, X) in modes.items()}
         top = np.array([c[0] for c in cand])
         history.append(top)
         rows.append((N, [float(v) for v in top], _observed_orders(history)))

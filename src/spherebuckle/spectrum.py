@@ -180,23 +180,49 @@ def spectrum_to_json(s: Spectrum, domain: CapDomain | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=False)
 
 
+def _number(v: Any, what: str) -> float:
+    # JSON true/false are ints to Python; a spectrum file has no use for them.
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise InvalidInput(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise InvalidInput(f"{what} is out of range: {v!r}") from exc
+
+
 def spectrum_from_json(text: str) -> tuple[Spectrum, CapDomain | None]:
+    """Parse a spectrum document as written by spectrum_to_json.
+
+    The schema is checked before anything is converted: n an integer,
+    eigenvalues a list of numbers, meta an object (or absent/null), and
+    domain null or {"type": "cap", "theta0": <number>}. Any mismatch,
+    and any spectrum validate_spectrum rejects, raises InvalidInput.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"not valid JSON: {exc}") from exc
-    try:
-        n = int(doc["n"])
-        values = tuple(float(v) for v in doc["eigenvalues"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed spectrum document: {exc}") from exc
-    meta = doc.get("meta") or {}
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"spectrum document must be an object, got {type(doc).__name__}")
+    n, values = doc.get("n"), doc.get("eigenvalues")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidInput(f"n must be an integer, got {n!r}")
+    if not isinstance(values, list):
+        raise InvalidInput(f"eigenvalues must be a list, got {values!r}")
+    values = tuple(_number(v, "eigenvalue") for v in values)
+    meta = doc.get("meta")
+    if meta is None:
+        meta = {}
+    elif not isinstance(meta, dict):
+        raise InvalidInput(f"meta must be an object, got {meta!r}")
     dom_doc = doc.get("domain")
     domain = None
     if dom_doc is not None:
+        if not isinstance(dom_doc, dict):
+            raise InvalidInput(f"domain must be an object or null, got {dom_doc!r}")
         if dom_doc.get("type") != "cap":
             raise InvalidInput(f"unknown domain type {dom_doc.get('type')!r}")
-        domain = CapDomain(n=n, theta0=float(dom_doc["theta0"]))
+        domain = CapDomain(n=n, theta0=_number(dom_doc.get("theta0"), "theta0"))
     spectrum = Spectrum(n=n, values=values, meta=meta)
     errors = validate_spectrum(spectrum).errors
     if errors:

@@ -17,7 +17,6 @@ import numpy as np
 J_1_1 = 3.831705970207512
 J_3HALF_1 = 4.493409457909063
 J_2_1 = 5.135622301840682
-J_1_2 = 7.015586669815649
 
 
 def bessel_j(nu: float, x: float, terms: int = 60) -> float:

@@ -1,8 +1,14 @@
 """Campaign orchestration and command-line behavior."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherebuckle import cli
 from spherebuckle.bounds import CheckRecord
@@ -174,6 +180,14 @@ class TestRunCampaign:
         assert worst["inequality_id"] in CHECK_IDS
         assert worst["rel_slack"] >= -1e-10
 
+    def test_worst_skips_equalities_by_construction(self, mini_report):
+        # deltastar, identity28a/b and the k = 1 lower216 and chebyshev
+        # rows hold with equality up to rounding; worst names a real margin.
+        worst = mini_report.summary["worst"]
+        assert worst["inequality_id"] not in {"deltastar", "identity28a", "identity28b"}
+        assert not (worst["inequality_id"] in {"lower216", "chebyshev"} and worst["k"] == 1)
+        assert worst["rel_slack"] > 1e-6
+
     def test_solver_failure_recorded_not_fatal(self):
         # One refinement from a coarse start cannot reach 1e-14.
         cfg = CampaignConfig(
@@ -285,6 +299,49 @@ def _write_mini_config(tmp_path, **overrides):
     path = tmp_path / "campaign.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+)
+_spectra = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.floats(n - 1.5, 1e4), min_size=1, max_size=8).map(sorted),
+    )
+)
+_documents = st.one_of(
+    _scalars,
+    st.lists(_scalars, max_size=3),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "n": st.one_of(_scalars, st.integers(2, 6)),
+            "eigenvalues": st.one_of(_scalars, st.lists(_scalars, max_size=4)),
+            "domain": _scalars,
+            "meta": _scalars,
+        },
+    ),
+    _spectra.flatmap(
+        lambda s: st.fixed_dictionaries(
+            {"n": st.just(s[0]), "eigenvalues": st.just(s[1])},
+            optional={
+                "domain": st.one_of(
+                    _scalars,
+                    st.fixed_dictionaries(
+                        {"type": st.sampled_from(["cap", "disk"])},
+                        optional={"theta0": st.one_of(_scalars, st.floats(0.0, 4.0))},
+                    ),
+                ),
+                "meta": st.one_of(_scalars, st.dictionaries(st.text(max_size=3), _scalars)),
+            },
+        )
+    ),
+)
 
 
 class TestCli:
@@ -410,6 +467,26 @@ class TestCli:
         spath = tmp_path / "s.json"
         spath.write_text(text)
         assert cli.main(["bounds", "--spectrum", str(spath), "--k", "2"]) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        doc=_documents,
+        k=st.integers(-1, 8),
+        lambda_next=st.one_of(st.none(), st.floats()),
+    )
+    def test_bounds_fuzzed_spectrum_never_raises(self, doc, k, lambda_next):
+        # Whatever the file holds, the command ends in a documented exit code.
+        argv = [f"--k={k}"]
+        if lambda_next is not None:
+            argv.append(f"--lambda-next={lambda_next!r}")
+        with tempfile.TemporaryDirectory() as tmp:
+            spath = os.path.join(tmp, "s.json")
+            with open(spath, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = cli.main(["bounds", "--spectrum", spath, *argv])
+        assert code in (0, 2, 4)
 
     def test_bounds_overflow_exits_4(self, tmp_path, capsys):
         spath = tmp_path / "s.json"

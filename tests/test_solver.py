@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from spherebuckle import solver
 from spherebuckle.errors import (
     GridTooCoarse,
     InvalidInput,
@@ -18,6 +19,7 @@ from spherebuckle.errors import (
 )
 from spherebuckle.spectrum import CapDomain, EigenPair
 from spherebuckle.solver import (
+    _mode_sweep,
     _solve_mode,
     angular_eigenvalue,
     assemble_mode,
@@ -39,6 +41,14 @@ class TestOracleSelfChecks:
         # J_{3/2} vanishes exactly where tan x = x; two independent
         # routes to the same number.
         assert abs(oracles.tan_eq_x_root() - oracles.J_3HALF_1) < 1e-14
+
+    def test_bessel_zeros_match_mpmath(self):
+        # An arbitrary-precision cross-check of the frozen constants.
+        mpmath = pytest.importorskip("mpmath")
+        for nu, frozen in ((1, oracles.J_1_1), (1.5, oracles.J_3HALF_1), (2, oracles.J_2_1)):
+            with mpmath.workdps(40):
+                exact = float(mpmath.besseljzero(nu, 1))
+            assert abs(frozen - exact) <= 4 * math.ulp(exact)
 
     def test_bessel_values_vanish_at_zeros(self):
         for nu, z in ((1.0, oracles.J_1_1), (1.5, oracles.J_3HALF_1)):
@@ -335,6 +345,59 @@ class TestSolveCap:
         rows = convergence_table(CapDomain(2, 1.0), 5, levels=4, N0=64)
         orders = rows[-1][2]
         assert all(o is not None and 1.7 <= o <= 2.3 for o in orders)
+
+
+def _kept_widths(modes):
+    return {m: X.shape[1] for m, (_, X) in modes.items()}
+
+
+class TestModeSweep:
+    """Request sizing from coarser widths, certified against the k-th candidate."""
+
+    @pytest.mark.parametrize("n,theta0,k", [(2, 1.0, 30), (3, 3.0, 10), (4, 0.5, 10)])
+    def test_widths_leave_result_unchanged(self, n, theta0, k):
+        domain = CapDomain(n, theta0)
+        _, coarse_modes, _ = _mode_sweep(domain, 128, k)
+        full = _mode_sweep(domain, 256, k)
+        for widths in (_kept_widths(coarse_modes), {}):
+            cand, modes, cutoff = _mode_sweep(domain, 256, k, widths)
+            assert [(m, j) for _, m, j in cand] == [(m, j) for _, m, j in full[0]]
+            for (got, _, _), (want, _, _) in zip(cand, full[0]):
+                assert abs(got - want) <= 1e-10 * want
+            assert cutoff == full[2]
+            assert _kept_widths(modes) == _kept_widths(full[1])
+
+    def test_short_widths_trigger_top_up(self, monkeypatch):
+        # One pair per mode cannot hold the top 10 of mode 0, so the
+        # certificate must solve some mode again for more pairs.
+        calls = []
+        solve_mode = solver._solve_mode
+
+        def counted(sys_, count):
+            calls.append(sys_.m)
+            return solve_mode(sys_, count)
+
+        domain = CapDomain(2, 1.0)
+        full = _mode_sweep(domain, 256, 10)
+        monkeypatch.setattr(solver, "_solve_mode", counted)
+        cand, _, cutoff = _mode_sweep(domain, 256, 10, {})
+        assert len(calls) > len(set(calls))
+        assert [(m, j) for _, m, j in cand] == [(m, j) for _, m, j in full[0]]
+        assert cutoff == full[2]
+
+    def test_pairs_requested_a_third_of_full_counts(self, monkeypatch):
+        # Every mode solved for ceil(k / mult) pairs at every level asks
+        # for 1050 pairs here; the coarser widths need about 300.
+        pairs = []
+        solve_mode = solver._solve_mode
+
+        def counted(sys_, count):
+            pairs.append(min(count, sys_.M - 1))
+            return solve_mode(sys_, count)
+
+        monkeypatch.setattr(solver, "_solve_mode", counted)
+        solve_cap(CapDomain(2, 1.0), 30)
+        assert sum(pairs) <= 1050 // 3
 
 
 class TestEnergyIdentity:

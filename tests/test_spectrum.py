@@ -152,6 +152,25 @@ class TestJson:
         ):
             with pytest.raises(InvalidInput):
                 spectrum_from_json(text)
+        # The schema is checked before anything is converted.
+        for text in (
+            '[2, [3.0, 4.0]]',
+            '{"n": 2, "eigenvalues": "34"}',
+            '{"n": 2, "eigenvalues": [true]}',
+            '{"n": 2, "eigenvalues": [3.0, "4"]}',
+            '{"n": 2, "eigenvalues": [3.0, 1%s]}' % ("0" * 400),
+            '{"n": 2.5, "eigenvalues": [3.0]}',
+            '{"n": "2", "eigenvalues": [3.0]}',
+            '{"n": true, "eigenvalues": [3.0]}',
+            '{"n": 2, "eigenvalues": [3.0], "meta": 7}',
+            '{"n": 2, "eigenvalues": [3.0], "domain": "cap"}',
+            '{"n": 2, "eigenvalues": [3.0], "domain": {"type": "cap"}}',
+            '{"n": 2, "eigenvalues": [3.0], "domain": {"type": "cap", "theta0": "1"}}',
+            '{"n": 2, "eigenvalues": [3.0], "domain": {"type": "cap", "theta0": null}}',
+            '{"n": 2, "eigenvalues": [3.0], "domain": {"type": "cap", "theta0": 1e999}}',
+        ):
+            with pytest.raises(InvalidInput):
+                spectrum_from_json(text)
 
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "eigs.json"
