@@ -64,7 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="ambient sphere dimension")
     p.add_argument("--theta0", type=float, required=True, help="cap aperture in radians")
     p.add_argument("--k", type=int, required=True, help="number of eigenvalues")
-    p.add_argument("--grid", type=int, default=128, help="initial radial cell count")
+    p.add_argument(
+        "--grid",
+        type=int,
+        default=128,
+        help="initial radial cell count of the FD engine; the default spectral "
+        "engine sizes its basis from --k",
+    )
     p.add_argument("--out", help="write the spectrum here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--dump-m", type=int, help="azimuthal index of a profile to dump")

@@ -57,6 +57,20 @@ STANDARD_DIMS = (2, 3, 4)
 STANDARD_APERTURES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
+def _typed(value: Any, key: str, kinds: type | tuple[type, ...], what: str) -> Any:
+    """value itself if it is one of kinds; a JSON boolean is none of them."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _number(value: Any, key: str) -> float:
+    try:
+        return float(_typed(value, key, (int, float), "a number"))
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ConfigError(f"{key} is out of range: {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Validated campaign parameters; defaults give the standard campaign."""
@@ -92,9 +106,9 @@ class CampaignConfig:
             )
         if not self.grid_rel_tol > 0.0:
             raise ConfigError(f"grid rel_tol must be positive, got {self.grid_rel_tol}")
-        if not (0.0 < self.delta_min < self.delta_max) or self.delta_points < 1:
+        if not (0.0 < self.delta_min < self.delta_max < math.inf) or self.delta_points < 1:
             raise ConfigError(
-                f"delta grid needs 0 < min < max and points >= 1, got "
+                f"delta grid needs 0 < min < max < inf and points >= 1, got "
                 f"({self.delta_min}, {self.delta_max}, {self.delta_points})"
             )
         if not self.rel_slack_tol > 0.0:
@@ -121,36 +135,37 @@ class CampaignConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs: dict[str, Any] = {}
-        try:
-            if "dims" in doc:
-                kwargs["dims"] = tuple(int(n) for n in doc["dims"])
-            if "apertures" in doc:
-                kwargs["apertures"] = tuple(float(t) for t in doc["apertures"])
-            if "k_max" in doc:
-                kwargs["k_max"] = int(doc["k_max"])
-            grid = doc.get("grid", {})
-            if "N0" in grid:
-                kwargs["N0"] = int(grid["N0"])
-            if "max_refinements" in grid:
-                kwargs["max_refinements"] = int(grid["max_refinements"])
-            if "rel_tol" in grid:
-                kwargs["grid_rel_tol"] = float(grid["rel_tol"])
-            dg = doc.get("delta_grid", {})
-            if "min" in dg:
-                kwargs["delta_min"] = float(dg["min"])
-            if "max" in dg:
-                kwargs["delta_max"] = float(dg["max"])
-            if "points" in dg:
-                kwargs["delta_points"] = int(dg["points"])
-            if "rel_slack_tol" in doc:
-                kwargs["rel_slack_tol"] = float(doc["rel_slack_tol"])
-            out = doc.get("output", {})
-            if "path" in out:
-                kwargs["output_path"] = str(out["path"])
-            if "format" in out:
-                kwargs["output_format"] = str(out["format"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
+        if "dims" in doc:
+            dims = _typed(doc["dims"], "dims", list, "a list")
+            kwargs["dims"] = tuple(_typed(n, "dims", int, "an integer") for n in dims)
+        if "apertures" in doc:
+            apertures = _typed(doc["apertures"], "apertures", list, "a list")
+            kwargs["apertures"] = tuple(_number(t, "apertures") for t in apertures)
+        if "k_max" in doc:
+            kwargs["k_max"] = _typed(doc["k_max"], "k_max", int, "an integer")
+        grid = _typed(doc.get("grid", {}), "grid", dict, "an object")
+        if "N0" in grid:
+            kwargs["N0"] = _typed(grid["N0"], "grid.N0", int, "an integer")
+        if "max_refinements" in grid:
+            kwargs["max_refinements"] = _typed(
+                grid["max_refinements"], "grid.max_refinements", int, "an integer"
+            )
+        if "rel_tol" in grid:
+            kwargs["grid_rel_tol"] = _number(grid["rel_tol"], "grid.rel_tol")
+        dg = _typed(doc.get("delta_grid", {}), "delta_grid", dict, "an object")
+        if "min" in dg:
+            kwargs["delta_min"] = _number(dg["min"], "delta_grid.min")
+        if "max" in dg:
+            kwargs["delta_max"] = _number(dg["max"], "delta_grid.max")
+        if "points" in dg:
+            kwargs["delta_points"] = _typed(dg["points"], "delta_grid.points", int, "an integer")
+        if "rel_slack_tol" in doc:
+            kwargs["rel_slack_tol"] = _number(doc["rel_slack_tol"], "rel_slack_tol")
+        out = _typed(doc.get("output", {}), "output", dict, "an object")
+        if "path" in out:
+            kwargs["output_path"] = _typed(out["path"], "output.path", str, "a string")
+        if "format" in out:
+            kwargs["output_format"] = _typed(out["format"], "output.format", str, "a string")
         return CampaignConfig(**kwargs)
 
     @staticmethod

@@ -11,7 +11,28 @@ generalized eigenproblem A f = Lambda B f with
 on the clamped space f(theta0) = f'(theta0) = 0, with angular eigenvalue
 mu = m(m+n-2).
 
-Discretization is cell-centered second-order differences on
+`solve_cap` has two engines. The default, engine="spectral", is a
+Rayleigh-Ritz (Galerkin) solve per mode in the clamped, pole-regular
+Jacobi basis
+
+    f_j(theta) = x^m (1 - x^2)^2 P_j^{(2, m+n/2-1)}(2x^2 - 1),  x = theta/theta0,
+
+the Zernike-type radial basis of Vasil et al. (J. Comput. Phys. 2016); for
+the Galerkin treatment of fourth-order operators see Shen (SIAM J. Sci.
+Comput. 15, 1994). Every f_j is clamped at the rim and is theta^m times an
+even function at the pole, so no boundary treatment is needed. With
+Gauss-Legendre weights w on (0, theta0), the factors K = sqrt(w
+sin^{n-1}) L f and D = [sqrt(w sin^{n-1}) f'; sqrt(w sin^{n-1} mu) f / sin]
+give A = K^T K and B = D^T D, which are never formed: with D = QR after
+column scaling, the values are the squared singular values of K R^{-1},
+and R^{-1} times its right singular vectors are B-orthonormal
+coefficients. The basis size P grows by half until the top k values
+settle; Ritz values are upper bounds, so the finest values are reported
+as they are.
+
+The reference engine, engine="fd", is the second-order scheme below; it
+also drives `convergence_table`. Its discretization is cell-centered
+second-order differences on
 theta_j = (j+1/2)h, h = theta0/N; the grid never touches the pole or the
 rim. Pole regularity enters through a parity ghost (even reflection for
 m = 0, odd for m >= 1). At the rim the value condition is imposed
@@ -44,16 +65,23 @@ candidate is solved again for twice the pairs. The merged values are
 those of a sweep that asks every mode for its full share. scipy.sparse
 is imported on first use, so importing the package stays cheap for the
 bounds-only commands.
+
+Both engines return their eigenpairs as samples at the cell centers of a
+grid: the FD engine's final grid, or a fixed PAIR_CELLS-cell grid for the
+spectral engine. Each profile is normalized so that the grid's discrete
+Dirichlet form (the FD B form) equals 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import ceil, log2
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.polynomial.legendre import leggauss
+from scipy.linalg import eigh, qr, solve_triangular, svd
 from scipy.linalg import LinAlgError as ScipyLinAlgError
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dtbtrs
 
@@ -92,6 +120,8 @@ ENGINE_RESIDUAL_REL = 1e-8
 # Safety factor over the evaluation-noise floor when a contract is
 # below what double precision can resolve.
 NOISE_SAFETY = 8.0
+# Cells of the grid the spectral engine samples its eigenpairs on.
+PAIR_CELLS = 512
 
 
 def angular_eigenvalue(m: int, n: int) -> float:
@@ -470,17 +500,47 @@ def solve_cap(
     N0: int = 128,
     max_refinements: int = 8,
     rel_tol: float = 1e-6,
+    engine: str = "spectral",
 ) -> tuple[Spectrum, list[EigenPair]]:
     """Lowest k buckling eigenvalues of a clamped cap, refinement-controlled.
 
-    The grid doubles until the k tracked values move by less than rel_tol
-    relative, then the last two grids are combined by second-order
-    extrapolation. meta records the final cell count, the azimuthal
-    cutoff, and the observed order per eigenvalue (from the last three
-    grids when available).
+    Both engines refine until the k tracked values move by less than
+    rel_tol relative between two levels, within max_refinements steps.
+
+    engine="spectral" (default): mode m's Jacobi basis starts at
+    P = 2 ceil(k / mult) + 16 functions and grows by half at each step,
+    and the finest level's Ritz values are reported. meta: "N" is mode
+    0's final P (the largest basis), "order" is None per value (there is
+    no grid order), "raw" the reported values.
+
+    engine="fd": the grid doubles from N0 cells, then the last two grids
+    are combined by second-order extrapolation. meta: "N" is the final
+    cell count, "order" the observed order per value (from the last three
+    grids when available), "raw" the finest grid's values.
+
+    N0 only sets the FD engine's initial grid. meta["mode_cutoff"] is the
+    first azimuthal mode that closed the sweep.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
+    if N0 < 16:
+        raise GridTooCoarse(f"need N >= 16 cells, got {N0}")
+    if max_refinements < 1:
+        raise InvalidInput(f"max_refinements must be >= 1, got {max_refinements}")
+    if engine == "fd":
+        return _solve_cap_fd(domain, k, N0, max_refinements, rel_tol)
+    if engine != "spectral":
+        raise InvalidInput(f"engine must be 'spectral' or 'fd', got {engine!r}")
+    return _solve_cap_spectral(domain, k, max_refinements, rel_tol)
+
+
+def _rel_change(prev: np.ndarray, cur: np.ndarray) -> float:
+    return float(np.max(np.abs(cur - prev) / np.abs(cur)))
+
+
+def _solve_cap_fd(
+    domain: CapDomain, k: int, N0: int, max_refinements: int, rel_tol: float
+) -> tuple[Spectrum, list[EigenPair]]:
     N = N0
     history: list[tuple[int, np.ndarray]] = []
     converged = False
@@ -492,15 +552,13 @@ def solve_cap(
         top = np.array([c[0] for c in cand])
         history.append((N, top))
         if len(history) >= 2:
-            prev, cur = history[-2][1], history[-1][1]
-            change = float(np.max(np.abs(cur - prev) / np.abs(cur)))
+            change = _rel_change(history[-2][1], history[-1][1])
             if change < rel_tol:
                 converged = True
                 break
         N *= 2
     if not converged:
-        prev, cur = history[-2][1], history[-1][1]
-        change = float(np.max(np.abs(cur - prev) / np.abs(cur)))
+        change = _rel_change(history[-2][1], history[-1][1])
         raise NoConvergence(
             f"top-{k} values still changing by {change:.2e} (tolerance {rel_tol:.1e}) "
             f"after {max_refinements} refinements (N={history[-1][0]})"
@@ -554,6 +612,189 @@ def _build_pairs(
     return pairs
 
 
+def _jacobi_basis(
+    P: int, m: int, n: int, x: np.ndarray, theta0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f_j, f_j' and f_j'' (theta-derivatives) at x = theta/theta0, one row per j < P.
+
+    f_j = g(x) P_j(s) with g = x^m (1 - x^2)^2 and s = 2x^2 - 1, where
+    P_j = P_j^{(2, m+n/2-1)}. The three-term recurrence is differentiated
+    along to carry dP_j/ds and d^2P_j/ds^2.
+    """
+    a, b = 2.0, m + 0.5 * n - 1.0
+    s = 2.0 * x * x - 1.0
+    p = np.zeros((P, 3, x.size))  # P_j, dP_j/ds, d^2P_j/ds^2
+    p[0, 0] = 1.0
+    if P > 1:
+        p[1, 0] = (a + 1.0) + 0.5 * (a + b + 2.0) * (s - 1.0)
+        p[1, 1] = 0.5 * (a + b + 2.0)
+    for j in range(1, P - 1):
+        c = 2.0 * j + a + b
+        d = 2.0 * (j + 1) * (j + a + b + 1.0) * c
+        lead = (c + 1.0) * (c + 2.0) * c / d
+        t = lead * s + (c + 1.0) * (a * a - b * b) / d
+        p[j + 1] = t * p[j] - (2.0 * (j + a) * (j + b) * (c + 2.0) / d) * p[j - 1]
+        p[j + 1, 1] += lead * p[j, 0]
+        p[j + 1, 2] += 2.0 * lead * p[j, 1]
+    u = 1.0 - x * x
+    g = x**m * u * u
+    g1 = m * x ** (m - 1) * u * u - 4.0 * x ** (m + 1) * u
+    g2 = m * (m - 1) * x ** (m - 2) * u * u - 4.0 * (2 * m + 1) * x**m * u + 8.0 * x ** (m + 2)
+    f = g * p[:, 0]
+    fx = g1 * p[:, 0] + 4.0 * x * g * p[:, 1]
+    fxx = g2 * p[:, 0] + 8.0 * x * g1 * p[:, 1] + g * (16.0 * x * x * p[:, 2] + 4.0 * p[:, 1])
+    return f, fx / theta0, fxx / theta0**2
+
+
+def _galerkin_mode(domain: CapDomain, m: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """All P Ritz values of mode m, ascending, with B-orthonormal coefficients.
+
+    K and D are the factors of A = K^T K and B = D^T D under Gauss-Legendre
+    quadrature on 2P + 60 nodes. With D = QR after column scaling,
+    A c = Lambda B c becomes the SVD of K R^{-1}: Lambda = sigma^2 and
+    c = R^{-1} v.
+    """
+    n, theta0 = domain.n, domain.theta0
+    x, w = _gauss_legendre(2 * P + 60)
+    w = theta0 * w
+    mu = angular_eigenvalue(m, n)
+    th = theta0 * x
+    sin = np.sin(th)
+    f, f1, f2 = _jacobi_basis(P, m, n, x, theta0)
+    sw = np.sqrt(w * sin ** (n - 1))
+    K = (sw * (f2 + (n - 1) * np.cos(th) / sin * f1 - mu * f / sin**2)).T
+    D = np.vstack([(sw * f1).T, (sw * np.sqrt(mu) / sin * f).T])
+    scale = 1.0 / np.linalg.norm(D, axis=0)
+    try:
+        R = qr(D * scale, mode="r")[0][:P]
+        KR = solve_triangular(R, (K * scale).T, trans="T").T
+        _, sig, Vt = svd(KR, full_matrices=False)
+        C = scale[:, None] * solve_triangular(R, Vt[::-1].T)
+    except (ScipyLinAlgError, ValueError) as exc:
+        raise NoConvergence(f"Galerkin solve failed for mode m={m} at P={P}: {exc}") from exc
+    vals = sig[::-1] ** 2
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(C))):
+        raise NoConvergence(f"Galerkin solve of mode m={m} at P={P} is not finite")
+    return vals, C
+
+
+@lru_cache(maxsize=64)
+def _gauss_legendre(Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q Gauss-Legendre nodes on (0, 1) and their weights, read-only.
+
+    Cached: every cap solve at the same k asks for the same few sizes,
+    and leggauss costs O(Q^2) per call.
+    """
+    t, w = leggauss(Q)
+    x, w = 0.5 * (t + 1.0), 0.5 * w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _basis_size(cap: int, step: int) -> int:
+    """Basis size of a mode holding cap values, at ladder step `step`.
+
+    It starts at 2 cap + 16 and grows by half (rounded up) per step.
+    """
+    P = 2 * cap + 16
+    for _ in range(step):
+        P = (3 * P + 1) // 2
+    return P
+
+
+def _galerkin_sweep(
+    domain: CapDomain, k: int, step: int
+) -> tuple[list[tuple[float, int, int]], dict[int, np.ndarray], int]:
+    """Solve modes m = 0, 1, ... at ladder step `step` until the k smallest are safe.
+
+    Mode m holds its lowest cap = ceil(k / mult) values as candidates,
+    from a basis of `_basis_size` functions; the sweep stops at
+    `_closing_mode`. Returns (the k smallest (value, m, index) candidates
+    sorted, the coefficient columns of each mode they use, mode cutoff).
+    """
+    cand: list[tuple[float, int, int]] = []
+    coeffs: dict[int, np.ndarray] = {}
+    lowest: list[float] = []
+    while True:
+        kth = cand[k - 1][0] if len(cand) >= k else np.inf
+        cutoff = _closing_mode(lowest, kth)
+        if cutoff is not None:
+            return cand, {m: coeffs[m] for m in sorted({m for _, m, _ in cand})}, cutoff
+        m = len(lowest)
+        if m > 64:
+            raise NoConvergence("azimuthal sweep did not close by m = 64")
+        mult = harmonic_multiplicity(domain.n, m)
+        cap = ceil(k / mult)
+        vals, C = _galerkin_mode(domain, m, _basis_size(cap, step))
+        lowest.append(float(vals[0]))
+        coeffs[m] = C[:, :cap]
+        for j, v in enumerate(vals[:cap]):
+            cand.extend([(float(v), m, j)] * min(mult, k))
+        cand.sort()
+        del cand[k:]
+
+
+def _solve_cap_spectral(
+    domain: CapDomain, k: int, max_refinements: int, rel_tol: float
+) -> tuple[Spectrum, list[EigenPair]]:
+    prev = None
+    for step in range(max_refinements + 1):
+        P = _basis_size(k, step)  # mode 0's (cap k), the largest basis of the step
+        cand, coeffs, mode_cutoff = _galerkin_sweep(domain, k, step)
+        top = np.array([c[0] for c in cand])
+        if prev is not None:
+            change = _rel_change(prev, top)
+            if change < rel_tol:
+                break
+        prev = top
+    else:
+        raise NoConvergence(
+            f"top-{k} values still changing by {change:.2e} (tolerance {rel_tol:.1e}) "
+            f"after {max_refinements} refinements (P={P})"
+        )
+    values = [float(v) for v in top]
+    meta: dict[str, Any] = {
+        "N": P,
+        "mode_cutoff": mode_cutoff,
+        "order": [None] * k,
+        "raw": values,
+    }
+    spectrum = Spectrum(n=domain.n, values=tuple(values), meta=meta)
+    return spectrum, _spectral_pairs(domain, cand, coeffs)
+
+
+def _spectral_pairs(
+    domain: CapDomain,
+    cand: Sequence[tuple[float, int, int]],
+    coeffs: dict[int, np.ndarray],
+) -> list[EigenPair]:
+    """Eigenpairs sampled at the cell centers of a PAIR_CELLS-cell grid.
+
+    Each profile is normalized so the grid's discrete Dirichlet form (the
+    FD engine's B form: face gradients, the rim face sloping to zero, and
+    the mu f^2 / sin^2 mass at the cells) equals 1.
+    """
+    n, theta0 = domain.n, domain.theta0
+    N = PAIR_CELLS
+    x = (np.arange(N) + 0.5) / N
+    theta = theta0 * x
+    h = theta0 / N
+    samples = {m: _jacobi_basis(len(C), m, n, x, theta0)[0].T @ C for m, C in coeffs.items()}
+    mass = np.sin(theta) ** (n - 3) * h  # times mu: sin^{n-1} h / sin^2
+    grid = tuple(theta.tolist())
+    pairs: list[EigenPair] = []
+    for value, m, j in cand:
+        f = samples[m][:, j]
+        form = np.sum(_face_energy(f, n, theta0)[1])
+        form += angular_eigenvalue(m, n) * np.sum(mass * f * f)
+        f = f / np.sqrt(float(form))
+        if f[int(np.argmax(np.abs(f)))] < 0.0:
+            f = -f
+        pairs.append(EigenPair(value=value, m=m, theta=grid, profile=tuple(f.tolist())))
+    return pairs
+
+
 def _observed_orders(history: Sequence[np.ndarray]) -> list[float | None]:
     """Order per value from the last three doubled grids; None where undefined."""
     if len(history) < 3:
@@ -569,11 +810,13 @@ def convergence_table(
     levels: int = 4,
     N0: int = 128,
 ) -> list[tuple[int, list[float], list[float | None]]]:
-    """Raw top-k values on a fixed ladder of doubled grids, with orders.
+    """Raw top-k FD values on a fixed ladder of doubled grids, with orders.
 
     Returns one row per level: (N, values, observed orders vs the two
     previous levels, None where not yet defined).
     """
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {k}")
     if levels < 2:
         raise InvalidInput(f"need at least 2 levels, got {levels}")
     rows: list[tuple[int, list[float], list[float | None]]] = []
@@ -590,6 +833,23 @@ def convergence_table(
     return rows
 
 
+def _face_energy(f: np.ndarray, n: int, theta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Faces theta_i = i h of f's cell grid, and the gradient energy on each.
+
+    The energy is sin^{n-1}(theta_i) h (df_i)^2, with df the difference
+    quotient across the face; the rim face takes the one-sided slope to
+    the zero boundary value.
+    """
+    N = len(f)
+    h = theta0 / N
+    thf = np.arange(N + 1) * h
+    wf = np.sin(thf) ** (n - 1) * h
+    df = np.zeros(N + 1)
+    df[1:N] = (f[1:] - f[:-1]) / h
+    df[N] = -2.0 * f[N - 1] / h
+    return thf, wf * df * df
+
+
 def coordinate_split_residuals(
     pair: EigenPair, domain: CapDomain
 ) -> tuple[float, float]:
@@ -604,16 +864,7 @@ def coordinate_split_residuals(
     """
     if pair.m != 0:
         raise UnsupportedMode(f"axisymmetric pair required, got m={pair.m}")
-    f = np.asarray(pair.profile, dtype=float)
-    N = len(f)
-    n, theta0 = domain.n, domain.theta0
-    h = theta0 / N
-    thf = np.arange(N + 1) * h
-    wf = np.sin(thf) ** (n - 1) * h
-    df = np.zeros(N + 1)
-    df[1:N] = (f[1:] - f[:-1]) / h
-    df[N] = -2.0 * f[N - 1] / h
-    energy = wf * df * df
+    thf, energy = _face_energy(np.asarray(pair.profile, dtype=float), domain.n, domain.theta0)
     with_height = float(np.sum(energy * np.cos(thf) ** 2))
     with_equator = float(np.sum(energy * np.sin(thf) ** 2))
     sum_a = with_height + with_equator

@@ -282,3 +282,22 @@ def test_criterion_11_planar_degeneration(capsys):
         worst <= 1e-14,
         f"worst rel deviation {worst:.3e} over {len(pairs)} quantities",
     )
+
+
+def test_criterion_12_spectral_matches_fd(capsys, standard_campaign):
+    # The campaign runs on the spectral engine; the FD reference engine
+    # must agree with it on every standard cap (they agree within about
+    # 1.2e-9, which is FD's own discretization error).
+    report, _ = standard_campaign
+    worst = (0.0, None)
+    for case in report.cases:
+        reference, _ = solve_cap(CapDomain(case.n, case.theta0), 10, engine="fd")
+        dev = max(
+            abs(a - b) / b for a, b in zip(case.eigenvalues, reference.values)
+        )
+        worst = max(worst, (dev, (case.n, case.theta0)), key=lambda w: w[0])
+    _verdict(
+        capsys, 12, "spectral engine vs FD reference",
+        len(report.cases) == 18 and worst[0] <= 1e-8,
+        f"18 caps at k=10, worst rel deviation {worst[0]:.3e} at (n, theta0) = {worst[1]}",
+    )

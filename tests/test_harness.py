@@ -112,6 +112,59 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict({"dims": [2], "k_max": "many"})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"k_max": 2.9},
+            {"k_max": True},
+            {"k_max": "3"},
+            {"dims": "23"},
+            {"dims": [2.5]},
+            {"dims": [True]},
+            {"dims": [2.0]},
+            {"apertures": [True]},
+            {"apertures": ["1.0"]},
+            {"apertures": 1.0},
+            {"apertures": [10**400]},
+            {"grid": {"N0": 64.9}},
+            {"grid": {"max_refinements": False}},
+            {"grid": {"rel_tol": "1e-6"}},
+            {"grid": [64]},
+            {"delta_grid": {"points": 7.0}},
+            {"delta_grid": {"max": float("inf")}},
+            {"rel_slack_tol": None},
+            {"output": {"path": 7}},
+            {"output": {"format": ["csv"]}},
+            {"output": "r.json"},
+        ],
+    )
+    def test_values_type_checked_not_coerced(self, doc):
+        with pytest.raises(ConfigError):
+            CampaignConfig.from_dict(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=st.deferred(lambda: _config_documents))
+    def test_from_dict_fields_have_declared_types(self, doc):
+        try:
+            cfg = CampaignConfig.from_dict(doc)
+        except ConfigError:
+            return
+        for name, kind in (
+            ("k_max", int),
+            ("N0", int),
+            ("max_refinements", int),
+            ("delta_points", int),
+            ("grid_rel_tol", float),
+            ("delta_min", float),
+            ("delta_max", float),
+            ("rel_slack_tol", float),
+            ("output_format", str),
+        ):
+            assert type(getattr(cfg, name)) is kind, name
+        assert all(type(n) is int for n in cfg.dims)
+        assert all(type(t) is float for t in cfg.apertures)
+        assert cfg.output_path is None or type(cfg.output_path) is str
+
     def test_non_object_document_rejected(self):
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict([1, 2, 3])
@@ -189,10 +242,10 @@ class TestRunCampaign:
         assert worst["rel_slack"] > 1e-6
 
     def test_solver_failure_recorded_not_fatal(self):
-        # One refinement from a coarse start cannot reach 1e-14.
+        # One refinement cannot reach 1e-14 next to the whole sphere.
         cfg = CampaignConfig(
             dims=(2,),
-            apertures=(1.0,),
+            apertures=(3.14,),
             k_max=2,
             N0=16,
             max_refinements=1,
@@ -300,6 +353,47 @@ def _write_mini_config(tmp_path, **overrides):
     path.write_text(json.dumps(doc))
     return str(path)
 
+
+_config_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 200),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.booleans(), st.integers(-3, 6), st.floats(0.0, 3.5)), max_size=3),
+)
+_config_documents = st.fixed_dictionaries(
+    {},
+    optional={
+        "dims": _config_values,
+        "apertures": _config_values,
+        "k_max": _config_values,
+        "grid": st.one_of(
+            _config_values,
+            st.fixed_dictionaries(
+                {},
+                optional={k: _config_values for k in ("N0", "max_refinements", "rel_tol")},
+            ),
+        ),
+        "delta_grid": st.one_of(
+            _config_values,
+            st.fixed_dictionaries(
+                {}, optional={k: _config_values for k in ("min", "max", "points")}
+            ),
+        ),
+        "rel_slack_tol": _config_values,
+        "output": st.one_of(
+            _config_values,
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "path": _config_values,
+                    "format": st.one_of(_config_values, st.sampled_from(["json", "csv"])),
+                },
+            ),
+        ),
+    },
+)
 
 _scalars = st.one_of(
     st.none(),
@@ -526,6 +620,7 @@ class TestCli:
     def test_verify_nonconvergence_exits_3(self, tmp_path, capsys):
         cfg = _write_mini_config(
             tmp_path,
+            apertures=[3.14],
             k_max=2,
             grid={"N0": 16, "max_refinements": 1, "rel_tol": 1e-14},
         )
@@ -591,6 +686,15 @@ class TestCli:
         assert len(lines) == 4
         last = lines[-1].split(",")
         assert 1.7 <= float(last[-1]) <= 2.3
+
+    def test_convergence_k0_exits_4(self, capsys):
+        code = cli.main(["convergence", "--n", "2", "--theta0", "1.0", "--k", "0"])
+        assert code == 4
+        assert "k must be >= 1" in capsys.readouterr().err
+
+    def test_verify_mistyped_config_exits_4(self, tmp_path, capsys):
+        cfg = _write_mini_config(tmp_path, k_max=2.9)
+        assert cli.main(["verify", "--config", cfg]) == 4
 
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0

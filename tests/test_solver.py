@@ -294,24 +294,36 @@ class TestBandedEngine:
         assert out.stdout.strip() == "False"
 
 
+# Engine-neutral tests loop over both engines inside one test.
+ENGINES = ("spectral", "fd")
+
+
 class TestSolveCap:
     def test_flat_limit_with_multiplicity(self):
         # Vanishing aperture degenerates to the clamped unit disk scaled
         # by theta0^2: the first three values are the squares of the first
         # order-1 zero and the doubly degenerate order-2 zero.
-        spectrum, _ = solve_cap(CapDomain(2, 0.05), 3, N0=64, max_refinements=6)
-        t2 = 0.05**2
-        want = [oracles.J_1_1**2, oracles.J_2_1**2, oracles.J_2_1**2]
-        for got, w in zip(spectrum.values, want):
-            assert abs(got * t2 - w) < 0.01 * w
+        for engine in ENGINES:
+            spectrum, _ = solve_cap(
+                CapDomain(2, 0.05), 3, N0=64, max_refinements=6, engine=engine
+            )
+            t2 = 0.05**2
+            want = [oracles.J_1_1**2, oracles.J_2_1**2, oracles.J_2_1**2]
+            for got, w in zip(spectrum.values, want):
+                assert abs(got * t2 - w) < 0.01 * w, engine
 
     def test_flat_limit_three_dim(self):
-        spectrum, _ = solve_cap(CapDomain(3, 0.05), 1, N0=64, max_refinements=6)
-        got = spectrum.values[0] * 0.05**2
-        assert abs(got - oracles.J_3HALF_1**2) < 0.01 * oracles.J_3HALF_1**2
+        for engine in ENGINES:
+            spectrum, _ = solve_cap(
+                CapDomain(3, 0.05), 1, N0=64, max_refinements=6, engine=engine
+            )
+            got = spectrum.values[0] * 0.05**2
+            assert abs(got - oracles.J_3HALF_1**2) < 0.01 * oracles.J_3HALF_1**2, engine
 
     def test_positive_nondecreasing_and_meta(self):
-        spectrum, pairs = solve_cap(CapDomain(2, 1.0), 5, N0=64, max_refinements=6)
+        spectrum, pairs = solve_cap(
+            CapDomain(2, 1.0), 5, N0=64, max_refinements=6, engine="fd"
+        )
         vals = spectrum.values
         assert all(v > 0 for v in vals)
         assert all(a <= b for a, b in zip(vals, vals[1:]))
@@ -322,29 +334,171 @@ class TestSolveCap:
         assert pairs[0].m == 0
         assert len(pairs[0].profile) == spectrum.meta["N"]
 
+    def test_spectral_positive_nondecreasing_and_meta(self):
+        spectrum, pairs = solve_cap(CapDomain(2, 1.0), 5)
+        vals = spectrum.values
+        assert all(v > 0 for v in vals)
+        assert all(a <= b for a, b in zip(vals, vals[1:]))
+        meta = spectrum.meta
+        assert type(meta["N"]) is int and meta["N"] >= 2 * 5 + 16
+        assert type(meta["mode_cutoff"]) is int and meta["mode_cutoff"] >= 2
+        assert meta["order"] == [None] * 5
+        assert meta["raw"] == list(vals)
+        assert len(pairs) == 5
+        assert pairs[0].m == 0
+        assert len(pairs[0].profile) == len(pairs[0].theta) == solver.PAIR_CELLS
+        assert [p.value for p in pairs] == list(vals)
+
     def test_deterministic(self):
-        a, _ = solve_cap(CapDomain(3, 1.5), 4, N0=64, max_refinements=6)
-        b, _ = solve_cap(CapDomain(3, 1.5), 4, N0=64, max_refinements=6)
-        assert a.values == b.values
+        for engine in ENGINES:
+            a, _ = solve_cap(CapDomain(3, 1.5), 4, N0=64, max_refinements=6, engine=engine)
+            b, _ = solve_cap(CapDomain(3, 1.5), 4, N0=64, max_refinements=6, engine=engine)
+            assert a.values == b.values, engine
 
     def test_no_convergence_when_starved(self):
         with pytest.raises(NoConvergence):
-            solve_cap(CapDomain(2, 1.0), 3, N0=32, max_refinements=1, rel_tol=1e-14)
+            solve_cap(
+                CapDomain(2, 1.0), 3, N0=32, max_refinements=1, rel_tol=1e-14, engine="fd"
+            )
+
+    def test_spectral_no_convergence_when_starved(self):
+        # Near the whole sphere one step from P = 20 to 30 moves the lowest
+        # values by ~5e-3; the message names k, the change and P.
+        with pytest.raises(NoConvergence, match=r"top-2 .* changing by .* \(P=30\)"):
+            solve_cap(CapDomain(2, 3.14), 2, max_refinements=1, rel_tol=1e-14)
 
     def test_k_above_coarse_grid_size_is_no_convergence(self):
         # k = 15 exceeds what a 16-cell grid can hold (M - 1 = 14 values
         # per mode); the request is clamped and refinement then stalls.
         with pytest.raises(NoConvergence):
-            solve_cap(CapDomain(2, 1.0), 15, N0=16)
+            solve_cap(CapDomain(2, 1.0), 15, N0=16, engine="fd")
+
+    def test_spectral_basis_sized_from_k(self):
+        # The spectral basis grows with k, not from N0, so the request the
+        # FD engine cannot hold on 16 cells converges and matches FD.
+        spectrum, _ = solve_cap(CapDomain(2, 1.0), 15, N0=16)
+        reference, _ = solve_cap(CapDomain(2, 1.0), 15, engine="fd")
+        assert spectrum.meta["N"] >= 2 * 15 + 16
+        for got, want in zip(spectrum.values, reference.values):
+            assert abs(got - want) <= 1e-8 * want
 
     def test_requires_positive_k(self):
+        for engine in ENGINES:
+            with pytest.raises(InvalidInput):
+                solve_cap(CapDomain(2, 1.0), 0, engine=engine)
+
+    def test_rejects_unknown_engine_and_bad_controls(self):
         with pytest.raises(InvalidInput):
-            solve_cap(CapDomain(2, 1.0), 0)
+            solve_cap(CapDomain(2, 1.0), 1, engine="dense")
+        with pytest.raises(InvalidInput):
+            solve_cap(CapDomain(2, 1.0), 1, max_refinements=0)
+        with pytest.raises(GridTooCoarse):
+            solve_cap(CapDomain(2, 1.0), 1, N0=8)
+
+    def test_near_whole_sphere_converges(self):
+        # theta0 = 3.14 is 0.0016 short of the whole sphere; the cot pole
+        # past the rim slows the ladder, but it converges within the
+        # default refinements. l(l + n - 1) with l = 1 is the limit.
+        spectrum, _ = solve_cap(CapDomain(2, 3.14), 3)
+        assert spectrum.values[0] == pytest.approx(2.0, rel=1e-4)
+
+    def test_convergence_table_requires_positive_k(self):
+        with pytest.raises(InvalidInput):
+            convergence_table(CapDomain(2, 1.0), 0)
 
     def test_observed_orders_second_order(self):
         rows = convergence_table(CapDomain(2, 1.0), 5, levels=4, N0=64)
         orders = rows[-1][2]
         assert all(o is not None and 1.7 <= o <= 2.3 for o in orders)
+
+
+class TestSpectralEngine:
+    """The Jacobi-Galerkin engine behind solve_cap's default."""
+
+    @pytest.mark.parametrize(
+        "n,theta0,m,want", [(2, 3.1, 5, 30.0), (2, 3.1, 15, 240.0), (10, 3.0, 5, 70.0)]
+    )
+    def test_whole_sphere_limit(self, n, theta0, m, want):
+        # As theta0 -> pi the lowest value of mode m tends to the whole
+        # sphere's l(l + n - 1), l = max(m, 1); sharply so for m >= 5.
+        vals, _ = solver._galerkin_mode(CapDomain(n, theta0), m, 48)
+        assert abs(vals[0] - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    def test_basis_derivatives_match_differences(self, m):
+        # The recurrence-carried derivatives against centered differences
+        # of the values, and the clamped rim.
+        theta0, h = 1.3, 1e-4
+        x = np.linspace(0.1, 0.9, 9)
+        f, f1, f2 = solver._jacobi_basis(8, m, 3, x, theta0)
+        fp, _, _ = solver._jacobi_basis(8, m, 3, x + h / theta0, theta0)
+        fm, _, _ = solver._jacobi_basis(8, m, 3, x - h / theta0, theta0)
+        assert np.abs(f1 - (fp - fm) / (2 * h)).max() <= 1e-6 * np.abs(f1).max()
+        assert np.abs(f2 - (fp - 2 * f + fm) / h**2).max() <= 1e-5 * np.abs(f2).max()
+        rim, rim1, _ = solver._jacobi_basis(8, m, 3, np.array([1.0]), theta0)
+        assert np.abs(rim).max() == 0.0 and np.abs(rim1).max() == 0.0
+
+    def test_coefficients_b_orthonormal(self):
+        domain, m, P = CapDomain(3, 2.0), 2, 30
+        vals, C = solver._galerkin_mode(domain, m, P)
+        x, w = solver._gauss_legendre(2 * P + 60)
+        th = domain.theta0 * x
+        f, f1, _ = solver._jacobi_basis(P, m, domain.n, x, domain.theta0)
+        weight = domain.theta0 * w * np.sin(th) ** 2
+        mu = angular_eigenvalue(m, domain.n)
+        grad, val = f1.T @ C, f.T @ C  # one row per node
+        gram = grad.T @ (weight[:, None] * grad)
+        gram += mu * val.T @ ((weight / np.sin(th) ** 2)[:, None] * val)
+        assert np.abs(gram - np.eye(P)).max() < 1e-10
+        assert np.all(np.diff(vals) > 0)
+
+    def test_each_mode_solved_once_per_step(self, monkeypatch):
+        # Every Galerkin solve returns all P values of its mode, so no
+        # mode is solved twice at one basis size: the spectral counterpart
+        # of the FD sweep's request sizing above.
+        solves = []
+        galerkin_mode = solver._galerkin_mode
+
+        def counted(domain, m, P):
+            solves.append((m, P))
+            return galerkin_mode(domain, m, P)
+
+        monkeypatch.setattr(solver, "_galerkin_mode", counted)
+        spectrum, _ = solve_cap(CapDomain(2, 1.0), 30)
+        assert len(solves) == len(set(solves))
+        assert max(P for _, P in solves) == spectrum.meta["N"]
+        assert len(solves) <= 2 * (spectrum.meta["mode_cutoff"] + 3)
+
+    @pytest.mark.parametrize("failure", ["raise", "nan"])
+    def test_failure_maps_to_no_convergence(self, monkeypatch, failure):
+        import scipy.linalg
+
+        def broken(a, **kwargs):
+            if failure == "raise":
+                raise scipy.linalg.LinAlgError("synthetic failure")
+            u, s, vt = scipy.linalg.svd(a, **kwargs)
+            return u, np.full_like(s, np.nan), vt
+
+        monkeypatch.setattr(solver, "svd", broken)
+        with pytest.raises(NoConvergence, match=r"m=0 at P=26"):
+            solve_cap(CapDomain(2, 1.0), 5)
+
+    def test_solve_leaves_sparse_and_special_unloaded(self):
+        # The spectral engine needs only numpy and scipy.linalg.
+        import spherebuckle
+
+        src = os.path.dirname(os.path.dirname(spherebuckle.__file__))
+        code = (
+            "import sys, spherebuckle\n"
+            "print('scipy.special' in sys.modules)\n"
+            "spherebuckle.solve_cap(spherebuckle.CapDomain(2, 1.0), 3)\n"
+            "print('scipy.sparse' in sys.modules, 'scipy.special' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["False", "False", "False"]
 
 
 def _kept_widths(modes):
@@ -396,7 +550,7 @@ class TestModeSweep:
             return solve_mode(sys_, count)
 
         monkeypatch.setattr(solver, "_solve_mode", counted)
-        solve_cap(CapDomain(2, 1.0), 30)
+        solve_cap(CapDomain(2, 1.0), 30, engine="fd")
         assert sum(pairs) <= 1050 // 3
 
 
@@ -404,22 +558,24 @@ class TestEnergyIdentity:
     @pytest.mark.parametrize("n,theta0", [(2, 1.0), (3, 1.5)])
     def test_normalized_pair_sums_to_one(self, n, theta0):
         domain = CapDomain(n, theta0)
-        _, pairs = solve_cap(domain, 1, N0=64, max_refinements=7)
-        ra, rb = coordinate_split_residuals(pairs[0], domain)
-        assert ra < 1e-8 and rb < 1e-8
+        for engine in ENGINES:
+            _, pairs = solve_cap(domain, 1, N0=64, max_refinements=7, engine=engine)
+            ra, rb = coordinate_split_residuals(pairs[0], domain)
+            assert ra < 1e-8 and rb < 1e-8, engine
 
     def test_scaling_by_two_gives_three(self):
         domain = CapDomain(2, 1.0)
-        _, pairs = solve_cap(domain, 1, N0=64, max_refinements=5)
-        p = pairs[0]
-        doubled = EigenPair(
-            value=p.value,
-            m=0,
-            theta=p.theta,
-            profile=tuple(2.0 * f for f in p.profile),
-        )
-        ra, rb = coordinate_split_residuals(doubled, domain)
-        assert abs(ra - 3.0) < 1e-10 and abs(rb - 3.0) < 1e-10
+        for engine in ENGINES:
+            _, pairs = solve_cap(domain, 1, N0=64, max_refinements=5, engine=engine)
+            p = pairs[0]
+            doubled = EigenPair(
+                value=p.value,
+                m=0,
+                theta=p.theta,
+                profile=tuple(2.0 * f for f in p.profile),
+            )
+            ra, rb = coordinate_split_residuals(doubled, domain)
+            assert abs(ra - 3.0) < 1e-10 and abs(rb - 3.0) < 1e-10, engine
 
     def test_rejects_nonaxisymmetric(self):
         p = EigenPair(value=1.0, m=1, theta=(0.5,), profile=(1.0,))
