@@ -68,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=int,
         default=128,
-        help="initial radial cell count of the FD engine; the default spectral "
-        "engine sizes its basis from --k",
+        help="accepted for compatibility and ignored: the solver sizes its "
+        "basis from --k",
     )
     p.add_argument("--out", help="write the spectrum here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -142,7 +142,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "--dump-m, --dump-index and --dump-file must be given together"
         )
     domain = CapDomain(args.n, args.theta0)
-    spectrum, pairs = solve_cap(domain, args.k, N0=args.grid)
+    spectrum, pairs = solve_cap(domain, args.k)
     if args.format == "json":
         _write(spectrum_to_json(spectrum, domain), args.out)
     else:

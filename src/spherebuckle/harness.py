@@ -78,7 +78,7 @@ class CampaignConfig:
     dims: tuple[int, ...] = STANDARD_DIMS
     apertures: tuple[float, ...] = STANDARD_APERTURES
     k_max: int = 10
-    N0: int = 128
+    N0: int = 128  # accepted and echoed for compatibility; the solver ignores it
     max_refinements: int = 8
     grid_rel_tol: float = 1e-6
     delta_min: float = 1e-2
@@ -99,10 +99,9 @@ class CampaignConfig:
             )
         if self.k_max < 1:
             raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
-        if self.N0 < 16 or self.max_refinements < 1:
+        if self.max_refinements < 1:
             raise ConfigError(
-                f"grid needs N0 >= 16 and max_refinements >= 1, "
-                f"got N0={self.N0}, max_refinements={self.max_refinements}"
+                f"grid needs max_refinements >= 1, got {self.max_refinements}"
             )
         if not self.grid_rel_tol > 0.0:
             raise ConfigError(f"grid rel_tol must be positive, got {self.grid_rel_tol}")
@@ -237,7 +236,6 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
         spectrum, pairs = solve_cap(
             domain,
             cfg.k_max,
-            N0=cfg.N0,
             max_refinements=cfg.max_refinements,
             rel_tol=cfg.grid_rel_tol,
         )

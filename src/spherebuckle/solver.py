@@ -11,9 +11,8 @@ generalized eigenproblem A f = Lambda B f with
 on the clamped space f(theta0) = f'(theta0) = 0, with angular eigenvalue
 mu = m(m+n-2).
 
-`solve_cap` has two engines. The default, engine="spectral", is a
-Rayleigh-Ritz (Galerkin) solve per mode in the clamped, pole-regular
-Jacobi basis
+`solve_cap` runs a Rayleigh-Ritz (Galerkin) solve per mode in the
+clamped, pole-regular Jacobi basis
 
     f_j(theta) = x^m (1 - x^2)^2 P_j^{(2, m+n/2-1)}(2x^2 - 1),  x = theta/theta0,
 
@@ -26,15 +25,16 @@ sin^{n-1}) L f and D = [sqrt(w sin^{n-1}) f'; sqrt(w sin^{n-1} mu) f / sin]
 give A = K^T K and B = D^T D, which are never formed: with D = QR after
 column scaling, the values are the squared singular values of K R^{-1},
 and R^{-1} times its right singular vectors are B-orthonormal
-coefficients. The basis size P grows by half until the top k values
-settle; Ritz values are upper bounds, so the finest values are reported
-as they are.
+coefficients. Each mode's basis size P grows by half until the top k
+values settle, and to at least 2 w + 16 for the w values the mode kept;
+Ritz values are upper bounds, so the finest values are reported as they
+are.
 
-The reference engine, engine="fd", is the second-order scheme below; it
-also drives `convergence_table`. Its discretization is cell-centered
-second-order differences on
-theta_j = (j+1/2)h, h = theta0/N; the grid never touches the pole or the
-rim. Pole regularity enters through a parity ghost (even reflection for
+The second-order FD scheme below stays as the reference engine: tests
+compare the two through `_solve_cap_fd`, and it drives
+`convergence_table`. Its discretization is cell-centered second-order
+differences on theta_j = (j+1/2)h, h = theta0/N; the grid never touches
+the pole or the rim. Pole regularity enters through a parity ghost (even reflection for
 m = 0, odd for m >= 1). At the rim the value condition is imposed
 strongly, by constraining the last cell to the zero linear extrapolation
 through the boundary face, and the slope condition through a mirror
@@ -122,6 +122,10 @@ ENGINE_RESIDUAL_REL = 1e-8
 NOISE_SAFETY = 8.0
 # Cells of the grid the spectral engine samples its eigenpairs on.
 PAIR_CELLS = 512
+# Candidates a mode's first spectral basis is sized for; later steps size
+# it from the values the mode kept, so at large k no mode starts at the
+# ceil(k / mult) values it could hold but does not.
+FIRST_WIDTH = 16
 
 
 def angular_eigenvalue(m: int, n: int) -> float:
@@ -500,37 +504,25 @@ def solve_cap(
     N0: int = 128,
     max_refinements: int = 8,
     rel_tol: float = 1e-6,
-    engine: str = "spectral",
 ) -> tuple[Spectrum, list[EigenPair]]:
     """Lowest k buckling eigenvalues of a clamped cap, refinement-controlled.
 
-    Both engines refine until the k tracked values move by less than
-    rel_tol relative between two levels, within max_refinements steps.
+    Each mode's Jacobi basis grows by half per step until the k tracked
+    values move by less than rel_tol relative, within max_refinements
+    steps; the finest step's Ritz values are reported. A mode new to the
+    sweep starts at P = 2 min(ceil(k / mult), FIRST_WIDTH) + 16 functions,
+    and a mode that kept w values grows to at least 2 w + 16.
 
-    engine="spectral" (default): mode m's Jacobi basis starts at
-    P = 2 ceil(k / mult) + 16 functions and grows by half at each step,
-    and the finest level's Ritz values are reported. meta: "N" is mode
-    0's final P (the largest basis), "order" is None per value (there is
-    no grid order), "raw" the reported values.
-
-    engine="fd": the grid doubles from N0 cells, then the last two grids
-    are combined by second-order extrapolation. meta: "N" is the final
-    cell count, "order" the observed order per value (from the last three
-    grids when available), "raw" the finest grid's values.
-
-    N0 only sets the FD engine's initial grid. meta["mode_cutoff"] is the
-    first azimuthal mode that closed the sweep.
+    meta: "N" is the largest basis of the final step, "mode_cutoff" the
+    first azimuthal mode that closed the sweep, "order" None per value
+    (there is no grid order), "raw" the reported values. N0 is accepted
+    for compatibility and ignored: it was the initial grid of the FD
+    scheme, which `_solve_cap_fd` keeps as the reference engine.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
-    if N0 < 16:
-        raise GridTooCoarse(f"need N >= 16 cells, got {N0}")
     if max_refinements < 1:
         raise InvalidInput(f"max_refinements must be >= 1, got {max_refinements}")
-    if engine == "fd":
-        return _solve_cap_fd(domain, k, N0, max_refinements, rel_tol)
-    if engine != "spectral":
-        raise InvalidInput(f"engine must be 'spectral' or 'fd', got {engine!r}")
     return _solve_cap_spectral(domain, k, max_refinements, rel_tol)
 
 
@@ -539,8 +531,20 @@ def _rel_change(prev: np.ndarray, cur: np.ndarray) -> float:
 
 
 def _solve_cap_fd(
-    domain: CapDomain, k: int, N0: int, max_refinements: int, rel_tol: float
+    domain: CapDomain,
+    k: int,
+    N0: int = 128,
+    max_refinements: int = 8,
+    rel_tol: float = 1e-6,
 ) -> tuple[Spectrum, list[EigenPair]]:
+    """The FD reference engine: solve_cap on the second-order scheme.
+
+    The grid doubles from N0 cells until the k tracked values move by
+    less than rel_tol relative, then the last two grids are combined by
+    second-order extrapolation. meta: "N" is the final cell count,
+    "order" the observed order per value (from the last three grids when
+    available), "raw" the finest grid's values.
+    """
     N = N0
     history: list[tuple[int, np.ndarray]] = []
     converged = False
@@ -693,40 +697,46 @@ def _gauss_legendre(Q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _basis_size(cap: int, step: int) -> int:
-    """Basis size of a mode holding cap values, at ladder step `step`.
+    """Basis size of a mode new to the sweep at ladder step `step`.
 
-    It starts at 2 cap + 16 and grows by half (rounded up) per step.
+    It starts at 2 min(cap, FIRST_WIDTH) + 16 and grows by half (rounded
+    up) per step.
     """
-    P = 2 * cap + 16
+    P = 2 * min(cap, FIRST_WIDTH) + 16
     for _ in range(step):
         P = (3 * P + 1) // 2
     return P
 
 
 def _galerkin_sweep(
-    domain: CapDomain, k: int, step: int
-) -> tuple[list[tuple[float, int, int]], dict[int, np.ndarray], int]:
+    domain: CapDomain, k: int, step: int, sizes: dict[int, int]
+) -> tuple[list[tuple[float, int, int]], dict[int, np.ndarray], int, dict[int, int]]:
     """Solve modes m = 0, 1, ... at ladder step `step` until the k smallest are safe.
 
     Mode m holds its lowest cap = ceil(k / mult) values as candidates,
-    from a basis of `_basis_size` functions; the sweep stops at
-    `_closing_mode`. Returns (the k smallest (value, m, index) candidates
-    sorted, the coefficient columns of each mode they use, mode cutoff).
+    from sizes[m] basis functions, or `_basis_size` if the previous step
+    did not solve it; the sweep stops at `_closing_mode`. Returns (the k
+    smallest (value, m, index) candidates sorted, the coefficient columns
+    of each mode they use, mode cutoff, the basis size of every mode
+    solved).
     """
     cand: list[tuple[float, int, int]] = []
     coeffs: dict[int, np.ndarray] = {}
     lowest: list[float] = []
+    used: dict[int, int] = {}
     while True:
         kth = cand[k - 1][0] if len(cand) >= k else np.inf
         cutoff = _closing_mode(lowest, kth)
         if cutoff is not None:
-            return cand, {m: coeffs[m] for m in sorted({m for _, m, _ in cand})}, cutoff
+            kept = {m: coeffs[m] for m in sorted({m for _, m, _ in cand})}
+            return cand, kept, cutoff, used
         m = len(lowest)
         if m > 64:
             raise NoConvergence("azimuthal sweep did not close by m = 64")
         mult = harmonic_multiplicity(domain.n, m)
         cap = ceil(k / mult)
-        vals, C = _galerkin_mode(domain, m, _basis_size(cap, step))
+        used[m] = sizes.get(m) or _basis_size(cap, step)
+        vals, C = _galerkin_mode(domain, m, used[m])
         lowest.append(float(vals[0]))
         coeffs[m] = C[:, :cap]
         for j, v in enumerate(vals[:cap]):
@@ -739,15 +749,22 @@ def _solve_cap_spectral(
     domain: CapDomain, k: int, max_refinements: int, rel_tol: float
 ) -> tuple[Spectrum, list[EigenPair]]:
     prev = None
+    sizes: dict[int, int] = {}
     for step in range(max_refinements + 1):
-        P = _basis_size(k, step)  # mode 0's (cap k), the largest basis of the step
-        cand, coeffs, mode_cutoff = _galerkin_sweep(domain, k, step)
+        cand, coeffs, mode_cutoff, used = _galerkin_sweep(domain, k, step, sizes)
+        P = max(used.values())
         top = np.array([c[0] for c in cand])
         if prev is not None:
             change = _rel_change(prev, top)
             if change < rel_tol:
                 break
         prev = top
+        # Each mode grows by half, and to at least 2 w + 16 functions for
+        # the w values it kept (cand is sorted, so a mode's last index is
+        # its largest): a step that agrees with the one before holds each
+        # kept value at that margin.
+        width = {m: j + 1 for _, m, j in cand}
+        sizes = {m: max((3 * p + 1) // 2, 2 * width.get(m, 0) + 16) for m, p in used.items()}
     else:
         raise NoConvergence(
             f"top-{k} values still changing by {change:.2e} (tolerance {rel_tol:.1e}) "

@@ -17,7 +17,7 @@ from spherebuckle.errors import (
     NotPositiveDefinite,
     UnsupportedMode,
 )
-from spherebuckle.spectrum import CapDomain, EigenPair
+from spherebuckle.spectrum import CapDomain, EigenPair, harmonic_multiplicity
 from spherebuckle.solver import (
     _mode_sweep,
     _solve_mode,
@@ -294,8 +294,9 @@ class TestBandedEngine:
         assert out.stdout.strip() == "False"
 
 
-# Engine-neutral tests loop over both engines inside one test.
-ENGINES = ("spectral", "fd")
+# Engine-neutral tests loop over solve_cap and the FD reference engine
+# inside one test.
+ENGINES = (solve_cap, solver._solve_cap_fd)
 
 
 class TestSolveCap:
@@ -303,27 +304,21 @@ class TestSolveCap:
         # Vanishing aperture degenerates to the clamped unit disk scaled
         # by theta0^2: the first three values are the squares of the first
         # order-1 zero and the doubly degenerate order-2 zero.
-        for engine in ENGINES:
-            spectrum, _ = solve_cap(
-                CapDomain(2, 0.05), 3, N0=64, max_refinements=6, engine=engine
-            )
+        for solve in ENGINES:
+            spectrum, _ = solve(CapDomain(2, 0.05), 3, N0=64, max_refinements=6)
             t2 = 0.05**2
             want = [oracles.J_1_1**2, oracles.J_2_1**2, oracles.J_2_1**2]
             for got, w in zip(spectrum.values, want):
-                assert abs(got * t2 - w) < 0.01 * w, engine
+                assert abs(got * t2 - w) < 0.01 * w, solve.__name__
 
     def test_flat_limit_three_dim(self):
-        for engine in ENGINES:
-            spectrum, _ = solve_cap(
-                CapDomain(3, 0.05), 1, N0=64, max_refinements=6, engine=engine
-            )
+        for solve in ENGINES:
+            spectrum, _ = solve(CapDomain(3, 0.05), 1, N0=64, max_refinements=6)
             got = spectrum.values[0] * 0.05**2
-            assert abs(got - oracles.J_3HALF_1**2) < 0.01 * oracles.J_3HALF_1**2, engine
+            assert abs(got - oracles.J_3HALF_1**2) < 0.01 * oracles.J_3HALF_1**2, solve.__name__
 
     def test_positive_nondecreasing_and_meta(self):
-        spectrum, pairs = solve_cap(
-            CapDomain(2, 1.0), 5, N0=64, max_refinements=6, engine="fd"
-        )
+        spectrum, pairs = solver._solve_cap_fd(CapDomain(2, 1.0), 5, N0=64, max_refinements=6)
         vals = spectrum.values
         assert all(v > 0 for v in vals)
         assert all(a <= b for a, b in zip(vals, vals[1:]))
@@ -350,16 +345,14 @@ class TestSolveCap:
         assert [p.value for p in pairs] == list(vals)
 
     def test_deterministic(self):
-        for engine in ENGINES:
-            a, _ = solve_cap(CapDomain(3, 1.5), 4, N0=64, max_refinements=6, engine=engine)
-            b, _ = solve_cap(CapDomain(3, 1.5), 4, N0=64, max_refinements=6, engine=engine)
-            assert a.values == b.values, engine
+        for solve in ENGINES:
+            a, _ = solve(CapDomain(3, 1.5), 4, N0=64, max_refinements=6)
+            b, _ = solve(CapDomain(3, 1.5), 4, N0=64, max_refinements=6)
+            assert a.values == b.values, solve.__name__
 
     def test_no_convergence_when_starved(self):
         with pytest.raises(NoConvergence):
-            solve_cap(
-                CapDomain(2, 1.0), 3, N0=32, max_refinements=1, rel_tol=1e-14, engine="fd"
-            )
+            solver._solve_cap_fd(CapDomain(2, 1.0), 3, N0=32, max_refinements=1, rel_tol=1e-14)
 
     def test_spectral_no_convergence_when_starved(self):
         # Near the whole sphere one step from P = 20 to 30 moves the lowest
@@ -371,29 +364,27 @@ class TestSolveCap:
         # k = 15 exceeds what a 16-cell grid can hold (M - 1 = 14 values
         # per mode); the request is clamped and refinement then stalls.
         with pytest.raises(NoConvergence):
-            solve_cap(CapDomain(2, 1.0), 15, N0=16, engine="fd")
+            solver._solve_cap_fd(CapDomain(2, 1.0), 15, N0=16)
 
     def test_spectral_basis_sized_from_k(self):
-        # The spectral basis grows with k, not from N0, so the request the
-        # FD engine cannot hold on 16 cells converges and matches FD.
+        # The spectral basis grows with k and ignores N0, so the request
+        # the FD engine cannot hold on 16 cells converges and matches FD.
         spectrum, _ = solve_cap(CapDomain(2, 1.0), 15, N0=16)
-        reference, _ = solve_cap(CapDomain(2, 1.0), 15, engine="fd")
+        reference, _ = solver._solve_cap_fd(CapDomain(2, 1.0), 15)
         assert spectrum.meta["N"] >= 2 * 15 + 16
         for got, want in zip(spectrum.values, reference.values):
             assert abs(got - want) <= 1e-8 * want
 
     def test_requires_positive_k(self):
-        for engine in ENGINES:
-            with pytest.raises(InvalidInput):
-                solve_cap(CapDomain(2, 1.0), 0, engine=engine)
-
-    def test_rejects_unknown_engine_and_bad_controls(self):
         with pytest.raises(InvalidInput):
-            solve_cap(CapDomain(2, 1.0), 1, engine="dense")
+            solve_cap(CapDomain(2, 1.0), 0)
+
+    def test_rejects_bad_controls_and_ignores_N0(self):
         with pytest.raises(InvalidInput):
             solve_cap(CapDomain(2, 1.0), 1, max_refinements=0)
-        with pytest.raises(GridTooCoarse):
-            solve_cap(CapDomain(2, 1.0), 1, N0=8)
+        coarse, _ = solve_cap(CapDomain(2, 1.0), 3, N0=8)
+        default, _ = solve_cap(CapDomain(2, 1.0), 3)
+        assert coarse.values == default.values
 
     def test_near_whole_sphere_converges(self):
         # theta0 = 3.14 is 0.0016 short of the whole sphere; the cot pole
@@ -468,6 +459,36 @@ class TestSpectralEngine:
         assert len(solves) == len(set(solves))
         assert max(P for _, P in solves) == spectrum.meta["N"]
         assert len(solves) <= 2 * (spectrum.meta["mode_cutoff"] + 3)
+
+    def test_large_k_bases_sized_from_kept_values(self, monkeypatch):
+        # At k = 200 mode 0 keeps 9 of the top 200, so no basis grows
+        # toward the 2 ceil(k / mult) + 16 = 416 functions its cap alone
+        # would ask for. Each kept value still has the 2 w + 16 margin,
+        # and every mode at a fixed 120-function basis gives the same top k.
+        final = {}
+        galerkin_mode = solver._galerkin_mode
+
+        def recorded(domain, m, P):
+            final[m] = P
+            return galerkin_mode(domain, m, P)
+
+        monkeypatch.setattr(solver, "_galerkin_mode", recorded)
+        domain, k = CapDomain(2, 1.0), 200
+        spectrum, pairs = solve_cap(domain, k)
+        assert spectrum.meta["N"] <= 120
+        kept = {}
+        for p in pairs:
+            kept[p.m] = kept.get(p.m, 0) + 1
+        for m, count in kept.items():
+            assert final[m] >= 2 * math.ceil(count / harmonic_multiplicity(2, m)) + 16
+        fixed = sorted(
+            v
+            for m in range(spectrum.meta["mode_cutoff"] + 1)
+            for v in galerkin_mode(domain, m, 120)[0][:k]
+            for _ in range(harmonic_multiplicity(2, m))
+        )[:k]
+        for got, want in zip(spectrum.values, fixed):
+            assert abs(got - want) <= 1e-10 * want
 
     @pytest.mark.parametrize("failure", ["raise", "nan"])
     def test_failure_maps_to_no_convergence(self, monkeypatch, failure):
@@ -550,7 +571,7 @@ class TestModeSweep:
             return solve_mode(sys_, count)
 
         monkeypatch.setattr(solver, "_solve_mode", counted)
-        solve_cap(CapDomain(2, 1.0), 30, engine="fd")
+        solver._solve_cap_fd(CapDomain(2, 1.0), 30)
         assert sum(pairs) <= 1050 // 3
 
 
@@ -558,15 +579,15 @@ class TestEnergyIdentity:
     @pytest.mark.parametrize("n,theta0", [(2, 1.0), (3, 1.5)])
     def test_normalized_pair_sums_to_one(self, n, theta0):
         domain = CapDomain(n, theta0)
-        for engine in ENGINES:
-            _, pairs = solve_cap(domain, 1, N0=64, max_refinements=7, engine=engine)
+        for solve in ENGINES:
+            _, pairs = solve(domain, 1, N0=64, max_refinements=7)
             ra, rb = coordinate_split_residuals(pairs[0], domain)
-            assert ra < 1e-8 and rb < 1e-8, engine
+            assert ra < 1e-8 and rb < 1e-8, solve.__name__
 
     def test_scaling_by_two_gives_three(self):
         domain = CapDomain(2, 1.0)
-        for engine in ENGINES:
-            _, pairs = solve_cap(domain, 1, N0=64, max_refinements=5, engine=engine)
+        for solve in ENGINES:
+            _, pairs = solve(domain, 1, N0=64, max_refinements=5)
             p = pairs[0]
             doubled = EigenPair(
                 value=p.value,
@@ -575,7 +596,7 @@ class TestEnergyIdentity:
                 profile=tuple(2.0 * f for f in p.profile),
             )
             ra, rb = coordinate_split_residuals(doubled, domain)
-            assert abs(ra - 3.0) < 1e-10 and abs(rb - 3.0) < 1e-10, engine
+            assert abs(ra - 3.0) < 1e-10 and abs(rb - 3.0) < 1e-10, solve.__name__
 
     def test_rejects_nonaxisymmetric(self):
         p = EigenPair(value=1.0, m=1, theta=(0.5,), profile=(1.0,))
