@@ -71,6 +71,15 @@ def _number(value: Any, key: str) -> float:
         raise ConfigError(f"{key} is out of range: {value!r}") from exc
 
 
+def _section(doc: dict[str, Any], key: str, fields: tuple[str, ...]) -> dict[str, Any]:
+    """doc[key] (default {}) as an object holding only the given fields."""
+    section = _typed(doc.get(key, {}), key, dict, "an object")
+    unknown = set(section) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
+    return section
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Validated campaign parameters; defaults give the standard campaign."""
@@ -142,7 +151,7 @@ class CampaignConfig:
             kwargs["apertures"] = tuple(_number(t, "apertures") for t in apertures)
         if "k_max" in doc:
             kwargs["k_max"] = _typed(doc["k_max"], "k_max", int, "an integer")
-        grid = _typed(doc.get("grid", {}), "grid", dict, "an object")
+        grid = _section(doc, "grid", ("N0", "max_refinements", "rel_tol"))
         if "N0" in grid:
             kwargs["N0"] = _typed(grid["N0"], "grid.N0", int, "an integer")
         if "max_refinements" in grid:
@@ -151,7 +160,7 @@ class CampaignConfig:
             )
         if "rel_tol" in grid:
             kwargs["grid_rel_tol"] = _number(grid["rel_tol"], "grid.rel_tol")
-        dg = _typed(doc.get("delta_grid", {}), "delta_grid", dict, "an object")
+        dg = _section(doc, "delta_grid", ("min", "max", "points"))
         if "min" in dg:
             kwargs["delta_min"] = _number(dg["min"], "delta_grid.min")
         if "max" in dg:
@@ -160,7 +169,7 @@ class CampaignConfig:
             kwargs["delta_points"] = _typed(dg["points"], "delta_grid.points", int, "an integer")
         if "rel_slack_tol" in doc:
             kwargs["rel_slack_tol"] = _number(doc["rel_slack_tol"], "rel_slack_tol")
-        out = _typed(doc.get("output", {}), "output", dict, "an object")
+        out = _section(doc, "output", ("path", "format"))
         if "path" in out:
             kwargs["output_path"] = _typed(out["path"], "output.path", str, "a string")
         if "format" in out:

@@ -108,6 +108,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict({"dims": [2], "apetrures": [1.0]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"grid": {"N": 64}}, {"delta_grid": {"pts": 3}}, {"output": {"fmt": "csv"}}],
+    )
+    def test_unknown_section_keys_rejected(self, doc):
+        # A typo inside a section must not silently fall back to a default.
+        with pytest.raises(ConfigError, match="unknown"):
+            CampaignConfig.from_dict(doc)
+
     def test_non_numeric_value_rejected(self):
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict({"dims": [2], "k_max": "many"})
