@@ -32,7 +32,6 @@ At n = 2 both correction terms vanish and w = p = lam exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import exp, fsum, isfinite, log, sqrt
 from typing import Any, Iterable, Sequence
@@ -45,7 +44,7 @@ from .errors import (
     OrderViolation,
     SingularTerm,
 )
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _dumps
 
 __all__ = [
     "DEFAULT_REL_TOL",
@@ -454,7 +453,7 @@ def report_to_json(report: BoundReport) -> str:
         "checks": [_check_doc(c) for c in report.checks],
         "meta": report.meta,
     }
-    return json.dumps(doc, indent=2)
+    return _dumps(doc)
 
 
 def _g17(x: float | None) -> str:

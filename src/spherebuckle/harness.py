@@ -26,7 +26,6 @@ from typing import Any
 
 from .bounds import (
     CSV_COLUMNS,
-    BoundReport,
     CheckRecord,
     _bounds_doc,
     _check_doc,
@@ -35,7 +34,7 @@ from .bounds import (
     default_delta_grid,
 )
 from .errors import ConfigError, SphereBuckleError
-from .spectrum import CapDomain
+from .spectrum import CapDomain, _dumps
 from .solver import coordinate_split_residuals, solve_cap
 
 __all__ = [
@@ -193,13 +192,18 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CaseResult:
-    """Everything recorded for one (n, theta0) cell of the campaign."""
+    """Everything recorded for one (n, theta0) cell of the campaign.
+
+    reports holds one bound doc per k (bounds._bounds_doc: k, S, T, the
+    three root bounds and delta*), exactly as written under the report's
+    "bounds"; the checks of every k are in checks.
+    """
 
     n: int
     theta0: float
     eigenvalues: tuple[float, ...] = ()
     meta: dict[str, Any] = field(default_factory=dict)
-    reports: tuple[BoundReport, ...] = ()
+    reports: tuple[dict[str, Any], ...] = ()
     checks: tuple[dict[str, Any], ...] = ()
     lemma21_margin: float | None = None
     identity_residuals: tuple[float, float] | None = None
@@ -257,11 +261,7 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
         )
     tol = cfg.rel_slack_tol
     grid = cfg.delta_grid()
-    case_meta = {
-        "N": spectrum.meta.get("N"),
-        "order": spectrum.meta.get("order"),
-    }
-    reports: list[BoundReport] = []
+    reports: list[dict[str, Any]] = []
     checks: list[dict[str, Any]] = []
     delta_star: dict[int, float] = {}
     dominance_min: dict[int, float] = {}
@@ -284,15 +284,9 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
     for k in range(1, cfg.k_max):
         lam_next = spectrum.values[k]
         rep = build_report(
-            spectrum,
-            k,
-            lambda_next=lam_next,
-            delta_grid=grid,
-            rel_tol=tol,
-            theta0=theta0,
-            meta=case_meta,
+            spectrum, k, lambda_next=lam_next, delta_grid=grid, rel_tol=tol
         )
-        reports.append(rep)
+        reports.append(_bounds_doc(rep))
         for rec in rep.checks:
             checks.append(_check_dict(rec, k, cfg.grid_rel_tol))
         dominance_min[k] = min(
@@ -428,7 +422,7 @@ def report_to_json(report: CampaignReport, timestamp: bool = True) -> str:
                 "theta0": case.theta0,
                 "eigenvalues": list(case.eigenvalues),
                 "meta": case.meta,
-                "bounds": [_bounds_doc(rep) for rep in case.reports],
+                "bounds": list(case.reports),
                 "lemma21_margin": case.lemma21_margin,
                 "identity_residuals": (
                     None
@@ -448,7 +442,7 @@ def report_to_json(report: CampaignReport, timestamp: bool = True) -> str:
     }
     if timestamp:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return json.dumps(doc, indent=2)
+    return _dumps(doc)
 
 
 def _case_order_scalar(meta: dict[str, Any]) -> float | str:

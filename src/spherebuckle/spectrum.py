@@ -165,9 +165,68 @@ def merge_modes(
     return Spectrum(n=n, values=tuple(expanded[:k]), meta=dict(meta or {}))
 
 
-def _format_float(v: float) -> float:
-    # Round-trip through 17 significant digits; exact for binary64.
-    return float(f"{v:.17g}")
+_CONTAINERS = (dict, list, tuple)
+
+
+def _c_encode(obj: Any, depth: int) -> str:
+    """obj through json's C encoder, items separated as indent=2 does at depth.
+
+    The C encoder serves only indent=None, so the newline and indentation
+    ride in the item separator instead.
+    """
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode(obj)
+
+
+def _key(key: Any) -> str:
+    # json's conversion of a non-string key: float, bool, None, then int.
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (float, int)):
+        return _c_encode(key, 0)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_json(obj: Any, depth: int, out: list[str]) -> None:
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        out.append(_c_encode(obj, depth))
+        return
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    if not any(isinstance(v, _CONTAINERS) for v in values):
+        # A leaf container: the separators already give its inner lines.
+        text = _c_encode(obj, depth + 1)
+        out += (text[0], inner, text[1:-1], outer, text[-1])
+    elif not is_dict and all(isinstance(v, dict) and v for v in obj) and not any(
+        isinstance(x, _CONTAINERS) for v in obj for x in v.values()
+    ):
+        # An array of flat objects, encoded at its members' depth. The
+        # encoder escapes every newline inside a string, so a raw newline
+        # comes only from a separator, and one after "}" joins two objects.
+        deeper = "\n" + "  " * (depth + 2)
+        text = _c_encode(obj, depth + 2)[2:-2]
+        text = text.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        out += ("[", inner, "{", deeper, text, inner, "}", outer, "]")
+    else:
+        keys = [_c_encode(_key(k), 0) + ": " for k in obj] if is_dict else [""] * len(obj)
+        out.append("{" if is_dict else "[")
+        for i, (key, value) in enumerate(zip(keys, values)):
+            out += ("," if i else "", inner, key)
+            _write_json(value, depth + 1, out)
+        out += (outer, "}" if is_dict else "]")
+
+
+def _dumps(doc: Any) -> str:
+    """Exactly json.dumps(doc, indent=2), without json's pure-Python encoder.
+
+    indent=2 switches json off its C encoder. Here every leaf container
+    (an object or array of scalars) and every array of flat objects takes
+    one C-encoder call; only the few containers above them are walked in
+    Python.
+    """
+    out: list[str] = []
+    _write_json(doc, 0, out)
+    return "".join(out)
 
 
 def spectrum_to_json(s: Spectrum, domain: CapDomain | None = None) -> str:
@@ -175,11 +234,11 @@ def spectrum_to_json(s: Spectrum, domain: CapDomain | None = None) -> str:
         "n": s.n,
         "domain": None
         if domain is None
-        else {"type": "cap", "theta0": _format_float(domain.theta0)},
-        "eigenvalues": [_format_float(v) for v in s.values],
+        else {"type": "cap", "theta0": float(domain.theta0)},
+        "eigenvalues": list(s.values),
         "meta": s.meta,
     }
-    return json.dumps(doc, indent=2, sort_keys=False)
+    return _dumps(doc)
 
 
 def _number(v: Any, what: str) -> float:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import pickle
 import tempfile
 
 import pytest
@@ -286,6 +287,15 @@ class TestRunCampaign:
             mini_report, timestamp=False
         )
         assert report_to_csv(rep2) == report_to_csv(mini_report)
+
+    def test_pool_payload_carries_each_check_once(self):
+        # A case crosses the process pool pickled: its checks travel as the
+        # dicts in checks, and reports holds only the per-k bound docs.
+        rep2 = run_campaign(CampaignConfig(**MINI), jobs=2)
+        (case,) = rep2.cases
+        assert b"CheckRecord" not in pickle.dumps(case)
+        doc = json.loads(report_to_json(rep2))
+        assert list(case.reports) == doc["cases"][0]["bounds"]
 
 
 class TestStatus:

@@ -3,14 +3,17 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherebuckle.errors import InsufficientModes, InvalidInput, Unsorted
+from spherebuckle.solver import solve_cap
 from spherebuckle.spectrum import (
     CapDomain,
     Spectrum,
+    _dumps,
     harmonic_multiplicity,
     load_spectrum,
     merge_modes,
@@ -178,3 +181,93 @@ class TestJson:
         save_spectrum(p, s, domain=CapDomain(4, 2.0))
         s2, dom = load_spectrum(p)
         assert s2.values == s.values and dom.n == 4
+
+    def test_extreme_floats_round_trip_bit_exactly(self, tmp_path):
+        extremes = (5e-324, 2.2250738585072014e-308, 0.1, 1.7976931348623157e308)
+        p = tmp_path / "extremes.json"
+        # -0.0 is no valid eigenvalue or aperture, so it travels in meta.
+        s = Spectrum(2, extremes, meta={"floats": [-0.0, *extremes]})
+        save_spectrum(p, s, domain=CapDomain(2, 5e-324))
+        s2, dom = load_spectrum(p)
+        assert [v.hex() for v in s2.values] == [v.hex() for v in extremes]
+        assert [v.hex() for v in s2.meta["floats"]] == [
+            v.hex() for v in (-0.0, *extremes)
+        ]
+        assert dom.theta0.hex() == (5e-324).hex()
+
+    @pytest.mark.parametrize("domain", [CapDomain(3, 1.2), CapDomain(2, 1)])
+    def test_solved_spectrum_file_bytes_unchanged(self, tmp_path, domain):
+        # The writer these files had before spectrum_to_json left json's
+        # pure-Python encoder: every value formatted through 17 digits.
+        spectrum, _pairs = solve_cap(domain, 6)
+        before = json.dumps(
+            {
+                "n": spectrum.n,
+                "domain": {"type": "cap", "theta0": float(f"{domain.theta0:.17g}")},
+                "eigenvalues": [float(f"{v:.17g}") for v in spectrum.values],
+                "meta": spectrum.meta,
+            },
+            indent=2,
+            sort_keys=False,
+        )
+        p = tmp_path / "solved.json"
+        save_spectrum(p, spectrum, domain=domain)
+        assert p.read_bytes() == (before + "\n").encode()
+
+
+# Strings that stress the writer: raw newlines, quotes and backslashes
+# (escaped by the encoder), a fake separator between two objects, and
+# non-ASCII text that must stay \u-escaped.
+_TEXTS = ("\n", '"', "\\", "},\n    {", "inconclusive \u2014 refine grid", "\u00e9\u6f22\U0001f600")
+_text = st.one_of(st.sampled_from(_TEXTS), st.text(max_size=6))
+_scalars = st.one_of(
+    st.floats(),
+    st.sampled_from((math.inf, -math.inf, math.nan, -0.0)),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    _text,
+)
+_flat_objects = st.lists(
+    st.dictionaries(_text, _scalars, min_size=1, max_size=4), min_size=1, max_size=4
+)
+_trees = st.recursive(
+    _scalars | _flat_objects,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_text, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_trees)
+    def test_equals_json_dumps_indent2(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+
+    def test_campaign_shaped_document(self):
+        check = {"k": None, "inequality_id": "lemma21", "lhs": 2.0, "rhs": 5.5}
+        doc = {
+            "summary": {"worst": None, "cases": 1},
+            "cases": [
+                {
+                    "eigenvalues": [5.5, -0.0],
+                    "bounds": [{"k": 1, "S": 1.0}, {"k": 2, "S": math.nan}],
+                    "delta_star": {},
+                    "checks": [check, {**check, "status": "inconclusive \u2014 refine grid"}],
+                }
+            ],
+        }
+        text = _dumps(doc)
+        assert text == json.dumps(doc, indent=2)
+        assert '"status": "inconclusive \\u2014 refine grid"' in text
+
+    def test_key_conversion_matches_json(self):
+        doc = {"a": [{}], 1.5: [1], True: {"x": []}, None: 0, 7: [[]]}
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            _dumps({(1, 2): [[]]})
