@@ -4,7 +4,8 @@ A buckling spectrum on a geodesic cap decomposes over azimuthal modes: each
 degree-m spherical-harmonic channel contributes a 1D radial spectrum, and
 every radial eigenvalue enters the full spectrum with the multiplicity of
 degree-m harmonics on the boundary sphere. The helpers here validate
-spectra, expand multiplicities, and (de)serialize spectrum files.
+spectra, expand multiplicities, and (de)serialize spectrum files; _dumps
+is the indent-2 JSON writer behind every document the package emits.
 """
 
 from __future__ import annotations
@@ -177,27 +178,24 @@ def _c_encode(obj: Any, depth: int) -> str:
     return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode(obj)
 
 
-def _key(key: Any) -> str:
-    # json's conversion of a non-string key: float, bool, None, then int.
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (float, int)):
-        return _c_encode(key, 0)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+def _dumps(obj: Any, depth: int = 0) -> str:
+    """Exactly json.dumps(obj, indent=2), without json's pure-Python encoder.
 
-
-def _write_json(obj: Any, depth: int, out: list[str]) -> None:
+    indent=2 switches json off its C encoder. Here every leaf container
+    (an object or array of scalars) and every array of flat objects takes
+    one C-encoder call; only the few containers above them are walked in
+    Python. depth is obj's nesting level inside the document.
+    """
     if not isinstance(obj, _CONTAINERS) or not obj:
-        out.append(_c_encode(obj, depth))
-        return
+        return _c_encode(obj, depth)
     outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
     is_dict = isinstance(obj, dict)
     values = obj.values() if is_dict else obj
     if not any(isinstance(v, _CONTAINERS) for v in values):
         # A leaf container: the separators already give its inner lines.
         text = _c_encode(obj, depth + 1)
-        out += (text[0], inner, text[1:-1], outer, text[-1])
-    elif not is_dict and all(isinstance(v, dict) and v for v in obj) and not any(
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if not is_dict and all(isinstance(v, dict) and v for v in obj) and not any(
         isinstance(x, _CONTAINERS) for v in obj for x in v.values()
     ):
         # An array of flat objects, encoded at its members' depth. The
@@ -206,27 +204,12 @@ def _write_json(obj: Any, depth: int, out: list[str]) -> None:
         deeper = "\n" + "  " * (depth + 2)
         text = _c_encode(obj, depth + 2)[2:-2]
         text = text.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-        out += ("[", inner, "{", deeper, text, inner, "}", outer, "]")
-    else:
-        keys = [_c_encode(_key(k), 0) + ": " for k in obj] if is_dict else [""] * len(obj)
-        out.append("{" if is_dict else "[")
-        for i, (key, value) in enumerate(zip(keys, values)):
-            out += ("," if i else "", inner, key)
-            _write_json(value, depth + 1, out)
-        out += (outer, "}" if is_dict else "]")
-
-
-def _dumps(doc: Any) -> str:
-    """Exactly json.dumps(doc, indent=2), without json's pure-Python encoder.
-
-    indent=2 switches json off its C encoder. Here every leaf container
-    (an object or array of scalars) and every array of flat objects takes
-    one C-encoder call; only the few containers above them are walked in
-    Python.
-    """
-    out: list[str] = []
-    _write_json(doc, 0, out)
-    return "".join(out)
+        return "[" + inner + "{" + deeper + text + inner + "}" + outer + "]"
+    # Each key as json converts (or rejects) it, followed by ": ".
+    keys = [_c_encode({k: None}, 0)[1:-5] for k in obj] if is_dict else [""] * len(obj)
+    items = ("," + inner).join(k + _dumps(v, depth + 1) for k, v in zip(keys, values))
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + inner + items + outer + closing
 
 
 def spectrum_to_json(s: Spectrum, domain: CapDomain | None = None) -> str:
