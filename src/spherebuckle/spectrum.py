@@ -178,24 +178,18 @@ def _c_encode(obj: Any, depth: int) -> str:
     return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode(obj)
 
 
-def _dumps(obj: Any, depth: int = 0) -> str:
-    """Exactly json.dumps(obj, indent=2), without json's pure-Python encoder.
-
-    indent=2 switches json off its C encoder. Here every leaf container
-    (an object or array of scalars) and every array of flat objects takes
-    one C-encoder call; only the few containers above them are walked in
-    Python. depth is obj's nesting level inside the document.
-    """
+def _write_json(obj: Any, depth: int, out: list[str]) -> None:
     if not isinstance(obj, _CONTAINERS) or not obj:
-        return _c_encode(obj, depth)
+        out.append(_c_encode(obj, depth))
+        return
     outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
     is_dict = isinstance(obj, dict)
     values = obj.values() if is_dict else obj
     if not any(isinstance(v, _CONTAINERS) for v in values):
         # A leaf container: the separators already give its inner lines.
         text = _c_encode(obj, depth + 1)
-        return text[0] + inner + text[1:-1] + outer + text[-1]
-    if not is_dict and all(isinstance(v, dict) and v for v in obj) and not any(
+        out += (text[0], inner, text[1:-1], outer, text[-1])
+    elif not is_dict and all(isinstance(v, dict) and v for v in obj) and not any(
         isinstance(x, _CONTAINERS) for v in obj for x in v.values()
     ):
         # An array of flat objects, encoded at its members' depth. The
@@ -204,12 +198,30 @@ def _dumps(obj: Any, depth: int = 0) -> str:
         deeper = "\n" + "  " * (depth + 2)
         text = _c_encode(obj, depth + 2)[2:-2]
         text = text.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-        return "[" + inner + "{" + deeper + text + inner + "}" + outer + "]"
-    # Each key as json converts (or rejects) it, followed by ": ".
-    keys = [_c_encode({k: None}, 0)[1:-5] for k in obj] if is_dict else [""] * len(obj)
-    items = ("," + inner).join(k + _dumps(v, depth + 1) for k, v in zip(keys, values))
-    opening, closing = "{}" if is_dict else "[]"
-    return opening + inner + items + outer + closing
+        out += ("[", inner, "{", deeper, text, inner, "}", outer, "]")
+    else:
+        # Each key as json converts (or rejects) it, followed by ": ".
+        keys = [_c_encode({k: None}, 0)[1:-5] for k in obj] if is_dict else [""] * len(obj)
+        opening, closing = "{}" if is_dict else "[]"
+        out.append(opening)
+        for i, (key, value) in enumerate(zip(keys, values)):
+            out += ("," if i else "", inner, key)
+            _write_json(value, depth + 1, out)
+        out += (outer, closing)
+
+
+def _dumps(doc: Any) -> str:
+    """Exactly json.dumps(doc, indent=2), without json's pure-Python encoder.
+
+    indent=2 switches json off its C encoder. Here every leaf container
+    (an object or array of scalars) and every array of flat objects takes
+    one C-encoder call; only the few containers above them are walked in
+    Python. The pieces are joined once at the end, so the document is
+    copied once, not once per level.
+    """
+    out: list[str] = []
+    _write_json(doc, 0, out)
+    return "".join(out)
 
 
 def spectrum_to_json(s: Spectrum, domain: CapDomain | None = None) -> str:

@@ -288,14 +288,22 @@ class TestRunCampaign:
         )
         assert report_to_csv(rep2) == report_to_csv(mini_report)
 
-    def test_pool_payload_carries_each_check_once(self):
+    def test_pool_payload_carries_each_check_once(self, mini_report):
         # A case crosses the process pool pickled: its checks travel as the
         # dicts in checks, and reports holds only the per-k bound docs.
-        rep2 = run_campaign(CampaignConfig(**MINI), jobs=2)
-        (case,) = rep2.cases
+        # run_campaign runs a one-cell campaign serially, so a second
+        # aperture makes this one go through the pool.
+        cfg = CampaignConfig(**{**MINI, "apertures": (1.0, 1.5)})
+        pooled = run_campaign(cfg, jobs=2)
+        case = pooled.cases[0]
         assert b"CheckRecord" not in pickle.dumps(case)
-        doc = json.loads(report_to_json(rep2))
+        doc = json.loads(report_to_json(pooled))
         assert list(case.reports) == doc["cases"][0]["bounds"]
+        assert report_to_json(pooled, timestamp=False) == report_to_json(
+            run_campaign(cfg), timestamp=False
+        )
+        # The first cell is the MINI campaign's only one.
+        assert case == mini_report.cases[0]
 
 
 class TestStatus:
