@@ -445,28 +445,17 @@ def report_to_json(report: CampaignReport, timestamp: bool = True) -> str:
     return _dumps(doc)
 
 
-def _case_order_scalar(meta: dict[str, Any]) -> float | str:
-    orders = [o for o in meta.get("order") or [] if o is not None]
-    if not orders:
-        return ""
-    orders = sorted(orders)
-    mid = len(orders) // 2
-    if len(orders) % 2:
-        return orders[mid]
-    return 0.5 * (orders[mid - 1] + orders[mid])
-
-
 def report_to_csv(report: CampaignReport) -> str:
     """Flat check rows under the fixed columns, deterministically ordered."""
     rows: list[dict[str, Any]] = []
     for case in report.cases:
         if case.error is not None:
             continue
-        order_scalar = _case_order_scalar(case.meta)
-        meta_order = order_scalar if order_scalar == "" else f"{order_scalar:.6g}"
         meta_N = case.meta.get("N", "")
+        # Cases come from solve_cap, whose spectral values have no grid
+        # order, so meta_order stays empty.
         rows += (
-            _csv_row(case.n, case.theta0, c["k"], c, meta_N, meta_order)
+            _csv_row(case.n, case.theta0, c["k"], c, meta_N, "")
             for c in case.checks
         )
     rows.sort(

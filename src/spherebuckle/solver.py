@@ -56,20 +56,16 @@ cancellation-free. Accepted pairs are residual-checked against an
 evaluation-noise floor estimated from absolute-value matvecs; below that
 floor a residual is not measurable in double precision.
 
-Every Lanczos pair costs iteration steps, each one A-solve, so each grid
-level asks a mode for one pair more than the coarser level kept from it
-in the top k (the first level asks for all ceil(k / mult) pairs a mode
-can contribute). The sweep then certifies its result: a mode that could
-contribute more and whose last returned value is under the final k-th
-candidate is solved again for twice the pairs. The merged values are
-those of a sweep that asks every mode for its full share. scipy.sparse
-is imported on first use, so importing the package stays cheap for the
-bounds-only commands.
+scipy.sparse is imported on first use, so importing the package stays
+cheap for the bounds-only commands.
 
-Both engines return their eigenpairs as samples at the cell centers of a
-grid: the FD engine's final grid, or a fixed PAIR_CELLS-cell grid for the
-spectral engine. Each profile is normalized so that the grid's discrete
-Dirichlet form (the FD B form) equals 1.
+Both engines share one azimuthal sweep, `_sweep`: modes m = 0, 1, ...
+are solved for their lowest ceil(k / mult) values until a mode opens
+above the k-th merged candidate. They also share one pair builder,
+`_pairs`: eigenpairs are samples at the cell centers of a grid (the FD
+engine's final grid, or a fixed PAIR_CELLS-cell grid for the spectral
+engine), each normalized so that the grid's discrete Dirichlet form (the
+FD B form) equals 1.
 """
 
 from __future__ import annotations
@@ -432,70 +428,50 @@ def _closing_mode(lowest: Sequence[float], kth: float) -> int | None:
     return None
 
 
-def _mode_sweep(
-    domain: CapDomain, N: int, k: int, widths: dict[int, int] | None = None
-) -> tuple[list[tuple[float, int, int]], dict[int, tuple[ModeSystem, np.ndarray]], int]:
+def _sweep(
+    domain: CapDomain,
+    k: int,
+    solve: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+) -> tuple[list[tuple[float, int, int]], dict[int, np.ndarray], int]:
     """Solve modes m = 0, 1, ... until the k smallest merged values are safe.
 
-    Mode m holds at most cap = ceil(k / mult) candidates (clamped to the
-    M - 1 pairs Lanczos can return). Without `widths` every mode is
-    solved for its cap; with the Ritz widths a coarser grid kept in its
-    top k, mode m is solved for widths.get(m, 0) + 1 pairs, no more than
-    its cap. The sweep stops once a mode opens above the current k-th
-    candidate (`_closing_mode`). A candidate past the k-th can never
-    return to the top k, so it is dropped with its Ritz vector as soon as
-    it falls there.
-
-    Certificate: a mode's unrequested pairs lie above its last returned
-    value, and a top-up can only lower the k-th candidate. So once no
-    mode below its cap returns a last value under the final k-th
-    candidate, the top k equals that of a sweep solving every mode for
-    its cap; until then, such a mode is solved again on the same system
-    for twice as many pairs. The mode cutoff is then the closing mode
-    against the final k-th candidate; when the lowest values increase
-    with m, as interlacing predicts, the modes swept past it hold no
-    candidate. Returns (the k smallest (value, m, index) candidates
-    sorted, the system and Ritz vectors of each mode they use, mode
-    cutoff).
+    solve(m, cap) returns mode m's lowest values, at most cap = ceil(k /
+    mult), ascending, with one column per value. Each value enters the
+    candidates mult times, and the sweep stops once a mode opens above the
+    current k-th candidate (`_closing_mode`). Returns (the k smallest
+    (value, m, index) candidates sorted, the columns of each mode they
+    use, mode cutoff).
     """
-    n = domain.n
     cand: list[tuple[float, int, int]] = []
-    modes: dict[int, tuple[ModeSystem, np.ndarray]] = {}
-    solved: dict[int, tuple[int, int, float, float]] = {}  # m -> count, cap, lowest, last
-
-    def solve(sys_: ModeSystem, count: int, cap: int) -> None:
-        nonlocal modes
-        m = sys_.m
-        vals, X = _solve_mode(sys_, count)
-        solved[m] = (len(vals), cap, float(vals[0]), float(vals[-1]))
-        mult = harmonic_multiplicity(n, m)
-        cand[:] = [c for c in cand if c[1] != m]
-        for j, v in enumerate(vals):
-            cand.extend([(float(v), m, j)] * mult)
-        cand.sort()
-        del cand[k:]
-        modes[m] = (sys_, X)
-        width: dict[int, int] = {}
-        for _, i, j in cand:
-            width[i] = max(width.get(i, 0), j + 1)
-        modes = {i: (modes[i][0], modes[i][1][:, :w].copy()) for i, w in width.items()}
-
+    cols: dict[int, np.ndarray] = {}
+    lowest: list[float] = []
     while True:
         kth = cand[k - 1][0] if len(cand) >= k else np.inf
-        cutoff = _closing_mode([low for _, _, low, _ in solved.values()], kth)
-        if cutoff is None:
-            m = len(solved)
-            if m > 64:
-                raise NoConvergence("azimuthal sweep did not close by m = 64")
-            sys_ = assemble_mode(domain, m, N)
-            cap = min(max(1, ceil(k / harmonic_multiplicity(n, m))), sys_.M - 1)
-            solve(sys_, cap if widths is None else min(widths.get(m, 0) + 1, cap), cap)
-            continue
-        short = [i for i, (count, cap, _, last) in solved.items() if count < cap and last < kth]
-        if not short:
-            return cand, modes, cutoff
-        count, cap, _, _ = solved[short[0]]
-        solve(modes[short[0]][0], min(2 * count, cap), cap)
+        cutoff = _closing_mode(lowest, kth)
+        if cutoff is not None:
+            return cand, {m: cols[m] for m in sorted({m for _, m, _ in cand})}, cutoff
+        m = len(lowest)
+        if m > 64:
+            raise NoConvergence("azimuthal sweep did not close by m = 64")
+        mult = harmonic_multiplicity(domain.n, m)
+        vals, cols[m] = solve(m, ceil(k / mult))
+        lowest.append(float(vals[0]))
+        for j, v in enumerate(vals):
+            cand.extend([(float(v), m, j)] * min(mult, k))
+        cand.sort()
+        del cand[k:]
+
+
+def _fd_solver(
+    domain: CapDomain, N: int
+) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+    """`_sweep`'s mode solver on N cells; columns carry the dependent rim cell."""
+
+    def solve(m: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        vals, X = _solve_mode(assemble_mode(domain, m, N), cap)
+        return vals, np.vstack([X, X[-1:] / 3.0])
+
+    return solve
 
 
 def solve_cap(
@@ -548,11 +524,8 @@ def _solve_cap_fd(
     N = N0
     history: list[tuple[int, np.ndarray]] = []
     converged = False
-    widths: dict[int, int] | None = None
     for _ in range(max_refinements + 1):
-        modes = {}  # release the coarser level's systems before the finer sweep
-        cand, modes, mode_cutoff = _mode_sweep(domain, N, k, widths)
-        widths = {m: X.shape[1] for m, (_, X) in modes.items()}
+        cand, cols, mode_cutoff = _sweep(domain, k, _fd_solver(domain, N))
         top = np.array([c[0] for c in cand])
         history.append((N, top))
         if len(history) >= 2:
@@ -584,36 +557,7 @@ def _solve_cap_fd(
     }
     spectrum = Spectrum(n=domain.n, values=tuple(float(v) for v in extrapolated), meta=meta)
 
-    pairs = _build_pairs(cand, modes, N_final, extrapolated)
-    return spectrum, pairs
-
-
-def _build_pairs(
-    cand: Sequence[tuple[float, int, int]],
-    modes: dict[int, tuple[ModeSystem, np.ndarray]],
-    N: int,
-    values: np.ndarray,
-) -> list[EigenPair]:
-    pairs: list[EigenPair] = []
-    for slot, (_, m, j) in enumerate(cand):
-        sys_, X = modes[m]
-        y = X[:, j].copy()
-        y /= np.sqrt(float(y @ _apply_B(sys_, y)))
-        imax = int(np.argmax(np.abs(y)))
-        if y[imax] < 0.0:
-            y = -y
-        profile = np.empty(N)
-        profile[: N - 1] = y
-        profile[N - 1] = y[N - 2] / 3.0
-        pairs.append(
-            EigenPair(
-                value=float(values[slot]),
-                m=m,
-                theta=tuple(sys_.grid.tolist()),
-                profile=tuple(profile.tolist()),
-            )
-        )
-    return pairs
+    return spectrum, _pairs(domain, cand, cols, extrapolated)
 
 
 def _jacobi_basis(
@@ -708,50 +652,20 @@ def _basis_size(cap: int, step: int) -> int:
     return P
 
 
-def _galerkin_sweep(
-    domain: CapDomain, k: int, step: int, sizes: dict[int, int]
-) -> tuple[list[tuple[float, int, int]], dict[int, np.ndarray], int, dict[int, int]]:
-    """Solve modes m = 0, 1, ... at ladder step `step` until the k smallest are safe.
-
-    Mode m holds its lowest cap = ceil(k / mult) values as candidates,
-    from sizes[m] basis functions, or `_basis_size` if the previous step
-    did not solve it; the sweep stops at `_closing_mode`. Returns (the k
-    smallest (value, m, index) candidates sorted, the coefficient columns
-    of each mode they use, mode cutoff, the basis size of every mode
-    solved).
-    """
-    cand: list[tuple[float, int, int]] = []
-    coeffs: dict[int, np.ndarray] = {}
-    lowest: list[float] = []
-    used: dict[int, int] = {}
-    while True:
-        kth = cand[k - 1][0] if len(cand) >= k else np.inf
-        cutoff = _closing_mode(lowest, kth)
-        if cutoff is not None:
-            kept = {m: coeffs[m] for m in sorted({m for _, m, _ in cand})}
-            return cand, kept, cutoff, used
-        m = len(lowest)
-        if m > 64:
-            raise NoConvergence("azimuthal sweep did not close by m = 64")
-        mult = harmonic_multiplicity(domain.n, m)
-        cap = ceil(k / mult)
-        used[m] = sizes.get(m) or _basis_size(cap, step)
-        vals, C = _galerkin_mode(domain, m, used[m])
-        lowest.append(float(vals[0]))
-        coeffs[m] = C[:, :cap]
-        for j, v in enumerate(vals[:cap]):
-            cand.extend([(float(v), m, j)] * min(mult, k))
-        cand.sort()
-        del cand[k:]
-
-
 def _solve_cap_spectral(
     domain: CapDomain, k: int, max_refinements: int, rel_tol: float
 ) -> tuple[Spectrum, list[EigenPair]]:
     prev = None
     sizes: dict[int, int] = {}
     for step in range(max_refinements + 1):
-        cand, coeffs, mode_cutoff, used = _galerkin_sweep(domain, k, step, sizes)
+        used: dict[int, int] = {}  # basis size of every mode this step solves
+
+        def solve(m: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+            used[m] = sizes.get(m) or _basis_size(cap, step)
+            vals, C = _galerkin_mode(domain, m, used[m])
+            return vals[:cap], C[:, :cap]
+
+        cand, coeffs, mode_cutoff = _sweep(domain, k, solve)
         P = max(used.values())
         top = np.array([c[0] for c in cand])
         if prev is not None:
@@ -778,37 +692,42 @@ def _solve_cap_spectral(
         "raw": values,
     }
     spectrum = Spectrum(n=domain.n, values=tuple(values), meta=meta)
-    return spectrum, _spectral_pairs(domain, cand, coeffs)
+    x = (np.arange(PAIR_CELLS) + 0.5) / PAIR_CELLS
+    samples = {
+        m: _jacobi_basis(len(C), m, domain.n, x, domain.theta0)[0].T @ C
+        for m, C in coeffs.items()
+    }
+    return spectrum, _pairs(domain, cand, samples, values)
 
 
-def _spectral_pairs(
+def _pairs(
     domain: CapDomain,
     cand: Sequence[tuple[float, int, int]],
-    coeffs: dict[int, np.ndarray],
+    samples: dict[int, np.ndarray],
+    values: Sequence[float],
 ) -> list[EigenPair]:
-    """Eigenpairs sampled at the cell centers of a PAIR_CELLS-cell grid.
+    """Eigenpairs from cell-center samples on an N-cell grid, one column per index.
 
-    Each profile is normalized so the grid's discrete Dirichlet form (the
-    FD engine's B form: face gradients, the rim face sloping to zero, and
-    the mu f^2 / sin^2 mass at the cells) equals 1.
+    Candidate (value, m, j) is column j of samples[m], reported with the
+    value in the same slot of `values`. Each profile is normalized so the
+    grid's discrete Dirichlet form (the FD engine's B form: face
+    gradients, the rim face sloping to zero, and the mu f^2 / sin^2 mass
+    at the cells) equals 1, with its largest entry positive.
     """
     n, theta0 = domain.n, domain.theta0
-    N = PAIR_CELLS
-    x = (np.arange(N) + 0.5) / N
-    theta = theta0 * x
-    h = theta0 / N
-    samples = {m: _jacobi_basis(len(C), m, n, x, theta0)[0].T @ C for m, C in coeffs.items()}
-    mass = np.sin(theta) ** (n - 3) * h  # times mu: sin^{n-1} h / sin^2
+    N = len(next(iter(samples.values())))
+    theta = theta0 * ((np.arange(N) + 0.5) / N)
+    mass = np.sin(theta) ** (n - 3) * (theta0 / N)  # times mu: sin^{n-1} h / sin^2
     grid = tuple(theta.tolist())
     pairs: list[EigenPair] = []
-    for value, m, j in cand:
+    for value, (_, m, j) in zip(values, cand):
         f = samples[m][:, j]
         form = np.sum(_face_energy(f, n, theta0)[1])
         form += angular_eigenvalue(m, n) * np.sum(mass * f * f)
         f = f / np.sqrt(float(form))
         if f[int(np.argmax(np.abs(f)))] < 0.0:
             f = -f
-        pairs.append(EigenPair(value=value, m=m, theta=grid, profile=tuple(f.tolist())))
+        pairs.append(EigenPair(value=float(value), m=m, theta=grid, profile=tuple(f.tolist())))
     return pairs
 
 
@@ -839,10 +758,8 @@ def convergence_table(
     rows: list[tuple[int, list[float], list[float | None]]] = []
     history: list[np.ndarray] = []
     N = N0
-    widths: dict[int, int] | None = None
     for _ in range(levels):
-        cand, modes, _ = _mode_sweep(domain, N, k, widths)
-        widths = {m: X.shape[1] for m, (_, X) in modes.items()}
+        cand, _, _ = _sweep(domain, k, _fd_solver(domain, N))
         top = np.array([c[0] for c in cand])
         history.append(top)
         rows.append((N, [float(v) for v in top], _observed_orders(history)))

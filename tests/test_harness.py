@@ -18,7 +18,6 @@ from spherebuckle.harness import (
     CAMPAIGN_CSV_COLUMNS,
     CampaignConfig,
     CampaignReport,
-    _case_order_scalar,
     _status,
     report_to_csv,
     report_to_json,
@@ -46,6 +45,17 @@ CHECK_IDS = {
 @pytest.fixture(scope="module")
 def mini_report() -> CampaignReport:
     return run_campaign(CampaignConfig(**MINI))
+
+
+@pytest.fixture(scope="module")
+def two_cell_reports() -> tuple[CampaignReport, CampaignReport]:
+    """MINI with a second aperture, run serially and at jobs=2.
+
+    run_campaign runs a one-cell campaign serially whatever jobs is, so
+    the second cell is what makes the jobs=2 run go through the pool.
+    """
+    cfg = CampaignConfig(**{**MINI, "apertures": (1.0, 1.5)})
+    return run_campaign(cfg), run_campaign(cfg, jobs=2)
 
 
 class TestConfig:
@@ -281,27 +291,21 @@ class TestRunCampaign:
         del with_ts["generated_at"]
         assert with_ts == without
 
-    def test_jobs_equivalence(self, mini_report):
-        rep2 = run_campaign(CampaignConfig(**MINI), jobs=2)
-        assert report_to_json(rep2, timestamp=False) == report_to_json(
-            mini_report, timestamp=False
+    def test_jobs_equivalence(self, two_cell_reports):
+        serial, pooled = two_cell_reports
+        assert report_to_json(pooled, timestamp=False) == report_to_json(
+            serial, timestamp=False
         )
-        assert report_to_csv(rep2) == report_to_csv(mini_report)
+        assert report_to_csv(pooled) == report_to_csv(serial)
 
-    def test_pool_payload_carries_each_check_once(self, mini_report):
+    def test_pool_payload_carries_each_check_once(self, mini_report, two_cell_reports):
         # A case crosses the process pool pickled: its checks travel as the
         # dicts in checks, and reports holds only the per-k bound docs.
-        # run_campaign runs a one-cell campaign serially, so a second
-        # aperture makes this one go through the pool.
-        cfg = CampaignConfig(**{**MINI, "apertures": (1.0, 1.5)})
-        pooled = run_campaign(cfg, jobs=2)
+        _, pooled = two_cell_reports
         case = pooled.cases[0]
         assert b"CheckRecord" not in pickle.dumps(case)
         doc = json.loads(report_to_json(pooled))
         assert list(case.reports) == doc["cases"][0]["bounds"]
-        assert report_to_json(pooled, timestamp=False) == report_to_json(
-            run_campaign(cfg), timestamp=False
-        )
         # The first cell is the MINI campaign's only one.
         assert case == mini_report.cases[0]
 
@@ -360,12 +364,6 @@ class TestSerialization:
         assert len(case["bounds"]) == 2
         assert case["bounds"][0]["upper_next"] > case["eigenvalues"][1]
         assert doc["config"]["k_max"] == 3
-
-    def test_order_scalar_median(self):
-        assert _case_order_scalar({"order": [2.0, None, 1.9]}) == pytest.approx(1.95)
-        assert _case_order_scalar({"order": [2.1]}) == pytest.approx(2.1)
-        assert _case_order_scalar({"order": [None, None]}) == ""
-        assert _case_order_scalar({}) == ""
 
 
 def _write_mini_config(tmp_path, **overrides):

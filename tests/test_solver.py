@@ -19,7 +19,6 @@ from spherebuckle.errors import (
 )
 from spherebuckle.spectrum import CapDomain, EigenPair, harmonic_multiplicity
 from spherebuckle.solver import (
-    _mode_sweep,
     _solve_mode,
     angular_eigenvalue,
     assemble_mode,
@@ -446,7 +445,7 @@ class TestSpectralEngine:
     def test_each_mode_solved_once_per_step(self, monkeypatch):
         # Every Galerkin solve returns all P values of its mode, so no
         # mode is solved twice at one basis size: the spectral counterpart
-        # of the FD sweep's request sizing above.
+        # of TestModeSweep's FD request check below.
         solves = []
         galerkin_mode = solver._galerkin_mode
 
@@ -522,57 +521,29 @@ class TestSpectralEngine:
         assert out.stdout.split() == ["False", "False", "False"]
 
 
-def _kept_widths(modes):
-    return {m: X.shape[1] for m, (_, X) in modes.items()}
-
-
 class TestModeSweep:
-    """Request sizing from coarser widths, certified against the k-th candidate."""
+    """The azimuthal sweep both engines share."""
 
-    @pytest.mark.parametrize("n,theta0,k", [(2, 1.0, 30), (3, 3.0, 10), (4, 0.5, 10)])
-    def test_widths_leave_result_unchanged(self, n, theta0, k):
-        domain = CapDomain(n, theta0)
-        _, coarse_modes, _ = _mode_sweep(domain, 128, k)
-        full = _mode_sweep(domain, 256, k)
-        for widths in (_kept_widths(coarse_modes), {}):
-            cand, modes, cutoff = _mode_sweep(domain, 256, k, widths)
-            assert [(m, j) for _, m, j in cand] == [(m, j) for _, m, j in full[0]]
-            for (got, _, _), (want, _, _) in zip(cand, full[0]):
-                assert abs(got - want) <= 1e-10 * want
-            assert cutoff == full[2]
-            assert _kept_widths(modes) == _kept_widths(full[1])
-
-    def test_short_widths_trigger_top_up(self, monkeypatch):
-        # One pair per mode cannot hold the top 10 of mode 0, so the
-        # certificate must solve some mode again for more pairs.
-        calls = []
+    def test_fd_mode_solved_once_for_its_share(self, monkeypatch):
+        # Each grid level solves every mode it sweeps once, for the
+        # ceil(k / mult) values the mode can hold; Lanczos returns at most
+        # M - 1 of them.
+        requests = []
         solve_mode = solver._solve_mode
 
-        def counted(sys_, count):
-            calls.append(sys_.m)
+        def recorded(sys_, count):
+            requests.append((sys_.m, sys_.N, count, sys_.M))
             return solve_mode(sys_, count)
 
-        domain = CapDomain(2, 1.0)
-        full = _mode_sweep(domain, 256, 10)
-        monkeypatch.setattr(solver, "_solve_mode", counted)
-        cand, _, cutoff = _mode_sweep(domain, 256, 10, {})
-        assert len(calls) > len(set(calls))
-        assert [(m, j) for _, m, j in cand] == [(m, j) for _, m, j in full[0]]
-        assert cutoff == full[2]
-
-    def test_pairs_requested_a_third_of_full_counts(self, monkeypatch):
-        # Every mode solved for ceil(k / mult) pairs at every level asks
-        # for 1050 pairs here; the coarser widths need about 300.
-        pairs = []
-        solve_mode = solver._solve_mode
-
-        def counted(sys_, count):
-            pairs.append(min(count, sys_.M - 1))
-            return solve_mode(sys_, count)
-
-        monkeypatch.setattr(solver, "_solve_mode", counted)
-        solver._solve_cap_fd(CapDomain(2, 1.0), 30)
-        assert sum(pairs) <= 1050 // 3
+        monkeypatch.setattr(solver, "_solve_mode", recorded)
+        k = 10
+        solver._solve_cap_fd(CapDomain(2, 1.0), k)
+        solved = [(m, N) for m, N, _, _ in requests]
+        assert len(solved) == len(set(solved))
+        assert len({N for _, N in solved}) >= 2
+        for m, _, count, M in requests:
+            share = math.ceil(k / harmonic_multiplicity(2, m))
+            assert min(count, M - 1) == min(share, M - 1)
 
 
 class TestEnergyIdentity:
