@@ -134,7 +134,6 @@ class BoundReport:
     delta_star: float | None = None
     theta0: float | None = None
     meta: dict[str, Any] = field(default_factory=dict)
-    minimized: float | None = None  # delta* sum g^2 w + sum g p / delta*
 
 
 def bound_terms(lam: float, n: int) -> BoundTerms:
@@ -405,9 +404,9 @@ def build_report(
         r.chebyshev(rel_tol),
     ]
     try:
-        delta_star, minimized = r.optimal_delta()
+        delta_star = r.optimal_delta()[0]
     except (AllGapsZero, InvalidInput):
-        delta_star = minimized = None
+        delta_star = None
     grid = list(delta_grid) if delta_grid is not None else default_delta_grid()
     for wx, dom in r.family(grid, rel_tol):
         checks += (wx, dom)
@@ -423,7 +422,6 @@ def build_report(
         delta_star=delta_star,
         theta0=theta0,
         meta=dict(meta or {}),
-        minimized=minimized,
     )
 
 

@@ -128,10 +128,13 @@ def _write(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {out!r}: {exc}") from exc
         print(f"wrote {out}")
 
 
@@ -161,9 +164,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         lines += [
             f"{t:.17g},{f:.17g}" for t, f in zip(pair.theta, pair.profile)
         ]
-        with open(args.dump_file, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"wrote {args.dump_file}")
+        _write("\n".join(lines), args.dump_file)
     return EXIT_OK
 
 

@@ -3,9 +3,8 @@
 A campaign solves each cap, then exercises every bound and inequality on
 the computed spectrum: the quadratic upper bound and its consequences at
 each truncation depth, the one-parameter family across a delta grid with
-its closed-form minimizer, the dominance of the delta-free bound, the
-first-eigenvalue floor, and the energy-split identity on the first
-axisymmetric pair. Results are flat check records with a deterministic
+its closed-form minimizer, the dominance of the delta-free bound and the
+first-eigenvalue floor. Results are flat check records with a deterministic
 ordering, serialized to JSON (full report) or CSV (fixed columns).
 
 A failed check whose slack is within the grid-refinement tolerance of
@@ -35,7 +34,7 @@ from .bounds import (
 )
 from .errors import ConfigError, SphereBuckleError
 from .spectrum import CapDomain, _dumps
-from .solver import coordinate_split_residuals, solve_cap
+from .solver import solve_cap
 
 __all__ = [
     "CampaignConfig",
@@ -48,9 +47,6 @@ __all__ = [
 ]
 
 CAMPAIGN_CSV_COLUMNS = CSV_COLUMNS
-
-# Residual contract for the energy-split identity on computed pairs.
-IDENTITY_BOUND = 1e-8
 
 STANDARD_DIMS = (2, 3, 4)
 STANDARD_APERTURES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -206,7 +202,6 @@ class CaseResult:
     reports: tuple[dict[str, Any], ...] = ()
     checks: tuple[dict[str, Any], ...] = ()
     lemma21_margin: float | None = None
-    identity_residuals: tuple[float, float] | None = None
     delta_star: dict[int, float] = field(default_factory=dict)
     dominance_min: dict[int, float] = field(default_factory=dict)
     error: str | None = None
@@ -244,10 +239,9 @@ def _check_dict(
 
 def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
     """Solve one cap and evaluate the full check battery on it."""
-    domain = CapDomain(n, theta0)
     try:
-        spectrum, pairs = solve_cap(
-            domain,
+        spectrum, _ = solve_cap(
+            CapDomain(n, theta0),
             cfg.k_max,
             max_refinements=cfg.max_refinements,
             rel_tol=cfg.grid_rel_tol,
@@ -271,16 +265,6 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
     lemma = CheckRecord.make("lemma21", float(n), spectrum.values[0], tol)
     checks.append(_check_dict(lemma, None, cfg.grid_rel_tol))
 
-    # Energy-split identity on the first axisymmetric pair.
-    first_axi = next((p for p in pairs if p.m == 0), None)
-    identity_res: tuple[float, float] | None = None
-    if first_axi is not None:
-        ra, rb = coordinate_split_residuals(first_axi, domain)
-        identity_res = (ra, rb)
-        for label, res in (("identity28a", ra), ("identity28b", rb)):
-            rec = CheckRecord.make(label, res, IDENTITY_BOUND, tol)
-            checks.append(_check_dict(rec, None, cfg.grid_rel_tol))
-
     for k in range(1, cfg.k_max):
         lam_next = spectrum.values[k]
         rep = build_report(
@@ -292,17 +276,10 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
         dominance_min[k] = min(
             rec.slack for rec in rep.checks if rec.inequality_id == "dominance"
         )
-        if rep.delta_star is None:
-            # delta* needs a nonzero gap and sum g^2 w > 0; a cap's simple
-            # lambda_1 > n guarantees both, so this is only a guard.
-            continue
-        delta_star[k], minimized = rep.delta_star, rep.minimized
-        thm_rhs = next(rec.rhs for rec in rep.checks if rec.inequality_id == "thm14")
-        slack = thm_rhs - minimized
-        agree = abs(slack) <= tol * _norm_scale(minimized, thm_rhs)
-        rec = CheckRecord("deltastar", minimized, thm_rhs, slack, agree, delta_star[k])
-        status = "ok" if agree else "violated"
-        checks.append({**_check_dict(rec, k, cfg.grid_rel_tol), "status": status})
+        # delta* needs a nonzero gap and sum g^2 w > 0; a cap's simple
+        # lambda_1 > n guarantees both, so this is only a guard.
+        if rep.delta_star is not None:
+            delta_star[k] = rep.delta_star
 
     return CaseResult(
         n=n,
@@ -312,7 +289,6 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
         reports=tuple(reports),
         checks=tuple(checks),
         lemma21_margin=spectrum.values[0] - n,
-        identity_residuals=identity_res,
         delta_star=delta_star,
         dominance_min=dominance_min,
     )
@@ -322,15 +298,11 @@ def _by_construction(check: dict[str, Any], values: tuple[float, ...]) -> bool:
     """True for a check that is an equality by construction on this spectrum.
 
     Its slack is rounding noise, so it is left out of the summary's worst
-    margin. deltastar compares two forms of the same minimum; at k = 1 the
-    lower216 root is lambda_1 itself; chebyshev's two products agree term
-    by term when at most one gap lambda_{k+1} - lambda_i is nonzero, that
-    is when lambda_2 = lambda_{k+1} (always at k = 1); and identity28a/b
-    recombine cos^2 + sin^2 = 1 on a pair the solver has just normalized.
+    margin. At k = 1 the lower216 root is lambda_1 itself; chebyshev's two
+    products agree term by term when at most one gap lambda_{k+1} - lambda_i
+    is nonzero, that is when lambda_2 = lambda_{k+1} (always at k = 1).
     """
     iid, k = check["inequality_id"], check["k"]
-    if iid in ("deltastar", "identity28a", "identity28b"):
-        return True
     if iid == "lower216":
         return k == 1
     return iid == "chebyshev" and values[1] == values[k]
@@ -424,11 +396,6 @@ def report_to_json(report: CampaignReport, timestamp: bool = True) -> str:
                 "meta": case.meta,
                 "bounds": list(case.reports),
                 "lemma21_margin": case.lemma21_margin,
-                "identity_residuals": (
-                    None
-                    if case.identity_residuals is None
-                    else list(case.identity_residuals)
-                ),
                 "delta_star": {str(k): v for k, v in sorted(case.delta_star.items())},
                 "dominance_min": {
                     str(k): v for k, v in sorted(case.dominance_min.items())

@@ -256,24 +256,22 @@ def _A_solver(sys_: ModeSystem) -> Callable[[np.ndarray], np.ndarray]:
     eps sqrt(cond(A)), as a QR of K does. Interleaving the unknowns as
     r_0, x_0, r_1, x_1, ... makes the matrix banded with kl = ku = 3.
     """
-    from scipy import sparse
-
     N, M = sys_.N, sys_.M
-    aug = sparse.bmat([[-sparse.eye(N), sys_.K], [sys_.K.T, None]], format="coo")
-    pos = np.r_[2 * np.arange(N), 2 * np.arange(M) + 1]
-    i, j = pos[aug.row], pos[aug.col]
-    ab = np.zeros((10, N + M))
-    ab[6 + i - j, j] = aug.data  # LAPACK band storage, 3 fill-in rows on top
+    K = sys_.K.tocoo()
+    r, x = 2 * K.row, 2 * K.col + 1  # positions of r_i and x_j when interleaved
+    ab = np.zeros((10, N + M))  # LAPACK band storage, 3 fill-in rows on top
+    ab[6, 0::2] = -1.0
+    ab[6 + r - x, x] = K.data
+    ab[6 + x - r, r] = K.data
     lu, piv, info = dgbtrf(ab, 3, 3, overwrite_ab=1)
     if info != 0:
         raise NoConvergence(f"banded LU failed (info={info}) for mode m={sys_.m}, N={N}")
-    x = pos[N:]
 
     def solve(Y: np.ndarray) -> np.ndarray:
         rhs = np.zeros((N + M, Y.size // M))
-        rhs[x] = Y.reshape(M, -1)
+        rhs[1::2] = Y.reshape(M, -1)
         out, _ = dgbtrs(lu, 3, 3, rhs, piv, overwrite_b=1)
-        return out[x].reshape(Y.shape)
+        return out[1::2].reshape(Y.shape)
 
     return solve
 

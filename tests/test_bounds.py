@@ -348,10 +348,10 @@ class TestRecordsAndReport:
         assert (rep.S, rep.T) == compute_S_T(s, k)
         assert (rep.upper_next, rep.gap_upper, rep.lower_prev) == (upper, gap, lower)
         try:
-            star = optimal_delta(s, k, ln)
+            star = optimal_delta(s, k, ln)[0]
         except AllGapsZero:
-            star = (None, None)
-        assert (rep.delta_star, rep.minimized) == star
+            star = None
+        assert rep.delta_star == star
         expect = [
             check_theorem(s, k, ln),
             check_yang(s, k, ln),
