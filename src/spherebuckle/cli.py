@@ -146,12 +146,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
     domain = CapDomain(args.n, args.theta0)
     spectrum, pairs = solve_cap(domain, args.k)
-    if args.format == "json":
-        _write(spectrum_to_json(spectrum, domain), args.out)
-    else:
-        lines = ["index,lambda"]
-        lines += [f"{i + 1},{v:.17g}" for i, v in enumerate(spectrum.values)]
-        _write("\n".join(lines) + "\n", args.out)
+    # The dump request is checked before anything is written, so a bad
+    # one exits 4 without leaving --out behind.
+    pair = None
     if args.dump_file is not None:
         mode_pairs = [p for p in pairs if p.m == args.dump_m]
         if not 0 <= args.dump_index < len(mode_pairs):
@@ -160,6 +157,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 f"(mode has {len(mode_pairs)} computed pairs)"
             )
         pair = mode_pairs[args.dump_index]
+    if args.format == "json":
+        _write(spectrum_to_json(spectrum, domain), args.out)
+    else:
+        lines = ["index,lambda"]
+        lines += [f"{i + 1},{v:.17g}" for i, v in enumerate(spectrum.values)]
+        _write("\n".join(lines) + "\n", args.out)
+    if pair is not None:
         lines = ["theta,f"]
         lines += [
             f"{t:.17g},{f:.17g}" for t, f in zip(pair.theta, pair.profile)

@@ -56,8 +56,11 @@ cancellation-free. Accepted pairs are residual-checked against an
 evaluation-noise floor estimated from absolute-value matvecs; below that
 floor a residual is not measurable in double precision.
 
-scipy.sparse is imported on first use, so importing the package stays
-cheap for the bounds-only commands.
+The spectral engine needs numpy alone. scipy serves only the FD
+reference: `assemble_mode`, `_A_solver`, `_B_cholesky`, `_solve_mode` and
+`solve_gevp` import it when first called, and through them
+`_solve_cap_fd` and `convergence_table`. Importing the package, `solve_cap`
+and the solve, bounds, compare and verify commands load no scipy module.
 
 Both engines share one azimuthal sweep, `_sweep`: modes m = 0, 1, ...
 are solved for their lowest ceil(k / mult) values until a mode opens
@@ -76,10 +79,8 @@ from math import ceil, log2
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, qr, svd
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh, qr, solve_triangular, svd
-from scipy.linalg import LinAlgError as ScipyLinAlgError
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dtbtrs
 
 from .errors import (
     GridTooCoarse,
@@ -256,6 +257,8 @@ def _A_solver(sys_: ModeSystem) -> Callable[[np.ndarray], np.ndarray]:
     eps sqrt(cond(A)), as a QR of K does. Interleaving the unknowns as
     r_0, x_0, r_1, x_1, ... makes the matrix banded with kl = ku = 3.
     """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     N, M = sys_.N, sys_.M
     K = sys_.K.tocoo()
     r, x = 2 * K.row, 2 * K.col + 1  # positions of r_i and x_j when interleaved
@@ -299,6 +302,8 @@ def _B_cholesky(sys_: ModeSystem) -> np.ndarray:
 
     R[1] is the diagonal of R and R[0, 1:] its superdiagonal.
     """
+    from scipy.linalg.lapack import dpbtrf
+
     B = sys_.D.T @ sys_.D + sys_.mass
     ab = np.zeros((2, sys_.M))
     ab[0, 1:] = B.diagonal(1)
@@ -321,6 +326,8 @@ def _solve_mode(sys_: ModeSystem, count: int) -> tuple[np.ndarray, np.ndarray]:
     Ritz forms (KZ)^T(KZ) and Z^T(BZ), and every pair must meet the
     residual contract.
     """
+    from scipy.linalg import eigh
+    from scipy.linalg.lapack import dtbtrs
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     M = sys_.M
@@ -350,7 +357,7 @@ def _solve_mode(sys_: ModeSystem, count: int) -> tuple[np.ndarray, np.ndarray]:
     H = Z.T @ _apply_B(sys_, Z)
     try:
         vals, V = eigh(0.5 * (G + G.T), 0.5 * (H + H.T))
-    except ScipyLinAlgError as exc:
+    except LinAlgError as exc:
         raise NoConvergence(f"projected solve failed: {exc}") from exc
     X = Z @ V
     ok, failure = _residuals_ok(sys_, vals, X)
@@ -370,6 +377,8 @@ def solve_gevp(
     the residual contract relative to ||A x||, up to the double-precision
     evaluation floor.
     """
+    from scipy.linalg import eigh
+
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != B.shape:
@@ -379,11 +388,11 @@ def solve_gevp(
         raise InvalidInput(f"need 1 <= count <= {dim}, got {count}")
     try:
         np.linalg.cholesky(B)
-    except np.linalg.LinAlgError as exc:
+    except LinAlgError as exc:
         raise NotPositiveDefinite(f"B is not positive definite: {exc}") from exc
     try:
         vals, vecs = eigh(A, B, subset_by_index=[0, count - 1])
-    except ScipyLinAlgError as exc:
+    except LinAlgError as exc:
         raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
     out = []
     absA, absB = np.abs(A), np.abs(B)
@@ -598,7 +607,9 @@ def _galerkin_mode(domain: CapDomain, m: int, P: int) -> tuple[np.ndarray, np.nd
     K and D are the factors of A = K^T K and B = D^T D under Gauss-Legendre
     quadrature on 2P + 60 nodes. With D = QR after column scaling,
     A c = Lambda B c becomes the SVD of K R^{-1}: Lambda = sigma^2 and
-    c = R^{-1} v.
+    c = R^{-1} v. R^{-1} is formed once, explicitly: for an upper
+    triangular R, `inv` is back substitution against the identity, and
+    the two products with it cost less than a general `solve` would.
     """
     n, theta0 = domain.n, domain.theta0
     x, w = _gauss_legendre(2 * P + 60)
@@ -612,11 +623,10 @@ def _galerkin_mode(domain: CapDomain, m: int, P: int) -> tuple[np.ndarray, np.nd
     D = np.vstack([(sw * f1).T, (sw * np.sqrt(mu) / sin * f).T])
     scale = 1.0 / np.linalg.norm(D, axis=0)
     try:
-        R = qr(D * scale, mode="r")[0][:P]
-        KR = solve_triangular(R, (K * scale).T, trans="T").T
-        _, sig, Vt = svd(KR, full_matrices=False)
-        C = scale[:, None] * solve_triangular(R, Vt[::-1].T)
-    except (ScipyLinAlgError, ValueError) as exc:
+        Rinv = np.linalg.inv(qr(D * scale, mode="r"))
+        _, sig, Vt = svd((K * scale) @ Rinv, full_matrices=False)
+        C = scale[:, None] * (Rinv @ Vt[::-1].T)
+    except (LinAlgError, ValueError) as exc:
         raise NoConvergence(f"Galerkin solve failed for mode m={m} at P={P}: {exc}") from exc
     vals = sig[::-1] ** 2
     if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(C))):

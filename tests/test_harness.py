@@ -519,6 +519,20 @@ class TestCli:
         )
         assert code == 4
 
+    def test_solve_dump_unknown_pair_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "q.json"
+        code = cli.main(
+            [
+                "solve", "--n", "2", "--theta0", "1.0", "--k", "2",
+                "--out", str(out),
+                "--dump-m", "0", "--dump-index", "99",
+                "--dump-file", str(tmp_path / "q.csv"),
+            ]
+        )
+        assert code == 4
+        assert not out.exists()
+        assert "wrote" not in capsys.readouterr().out
+
     def test_bounds_hand_example(self, tmp_path, capsys):
         spath = tmp_path / "s.json"
         spath.write_text(json.dumps({"n": 2, "eigenvalues": [2.0]}))

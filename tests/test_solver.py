@@ -159,12 +159,11 @@ class TestSolveGevp:
     def test_solver_failure_maps_to_no_convergence(self, monkeypatch):
         import scipy.linalg
 
-        import spherebuckle.solver as mod
-
         def boom(*args, **kwargs):
             raise scipy.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(mod, "eigh", boom)
+        # solve_gevp imports eigh when called, so it reads the patched name.
+        monkeypatch.setattr(scipy.linalg, "eigh", boom)
         with pytest.raises(NoConvergence):
             solve_gevp(np.eye(4), np.eye(4), 2)
 
@@ -258,9 +257,9 @@ class TestBandedEngine:
             _solve_mode(assemble_mode(CapDomain(2, 1.0), 0, 64), 2)
 
     def test_cholesky_failure_maps_to_no_convergence(self, monkeypatch):
-        from spherebuckle import solver
+        import scipy.linalg.lapack
 
-        monkeypatch.setattr(solver, "dpbtrf", lambda ab, **kwargs: (ab, 2))
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", lambda ab, **kwargs: (ab, 2))
         with pytest.raises(NoConvergence, match=r"m=1, N=64"):
             _solve_mode(assemble_mode(CapDomain(2, 1.0), 1, 64), 2)
 
@@ -504,7 +503,7 @@ class TestSpectralEngine:
             solve_cap(CapDomain(2, 1.0), 5)
 
     def test_solve_leaves_sparse_and_special_unloaded(self):
-        # The spectral engine needs only numpy and scipy.linalg.
+        # The spectral engine needs numpy alone.
         import spherebuckle
 
         src = os.path.dirname(os.path.dirname(spherebuckle.__file__))
@@ -519,6 +518,38 @@ class TestSpectralEngine:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.split() == ["False", "False", "False"]
+
+    def test_default_path_loads_no_scipy(self, tmp_path):
+        # scipy serves only the FD reference; the package import, a
+        # spectral solve and the solve, bounds, compare and verify commands
+        # never load it.
+        import spherebuckle
+
+        src = os.path.dirname(os.path.dirname(spherebuckle.__file__))
+        (tmp_path / "cell.json").write_text('{"dims": [2], "apertures": [1.0], "k_max": 2}')
+        code = (
+            "import sys, spherebuckle\n"
+            "from spherebuckle import cli\n"
+            "spherebuckle.solve_cap(spherebuckle.CapDomain(2, 1.0), 3)\n"
+            "for argv in (\n"
+            "    'solve --n 2 --theta0 1.0 --k 3 --out s.json',\n"
+            "    'bounds --spectrum s.json --k 2',\n"
+            "    'compare --spectrum s.json --k 2 --lambda-next 30',\n"
+            "    'verify --config cell.json --out r.json',\n"
+            "):\n"
+            "    assert cli.main(argv.split()) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestModeSweep:
