@@ -25,14 +25,12 @@ from .bounds import (
 from .errors import (
     AllGapsZero,
     ConfigError,
-    GridTooCoarse,
     InsufficientModes,
     InvalidDelta,
     InvalidInput,
     NegativeDiscriminant,
     NoConvergence,
     NonPositive,
-    NotPositiveDefinite,
     OrderViolation,
     SingularTerm,
     SphereBuckleError,
@@ -61,7 +59,6 @@ from .solver import (
     convergence_table,
     coordinate_split_residuals,
     solve_cap,
-    solve_gevp,
 )
 
 __version__ = "0.1.0"
@@ -77,14 +74,12 @@ __all__ = [
     "CheckRecord",
     "ConfigError",
     "EigenPair",
-    "GridTooCoarse",
     "InsufficientModes",
     "InvalidDelta",
     "InvalidInput",
     "NegativeDiscriminant",
     "NoConvergence",
     "NonPositive",
-    "NotPositiveDefinite",
     "OrderViolation",
     "SingularTerm",
     "SphereBuckleError",
@@ -111,7 +106,6 @@ __all__ = [
     "run_campaign",
     "save_spectrum",
     "solve_cap",
-    "solve_gevp",
     "validate_spectrum",
     "wangxia_rhs",
     "__version__",

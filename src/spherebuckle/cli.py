@@ -3,7 +3,7 @@
 Subcommands: solve (compute a cap spectrum), bounds (evaluate every bound
 on a stored spectrum), verify (run a verification campaign from a config
 file), compare (sweep the one-parameter bound family against the
-parameter-free one), convergence (grid-refinement order table).
+parameter-free one), convergence (the solver's basis-ladder table).
 
 Exit codes: 0 all checks pass, 2 at least one inequality violated beyond
 tolerance, 3 solver non-convergence, 4 invalid input or configuration.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from .bounds import (
@@ -112,7 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-points", type=int, default=50)
     p.set_defaults(handler=_cmd_compare)
 
-    p = sub.add_parser("convergence", help="observed-order table under grid doubling")
+    p = sub.add_parser(
+        "convergence",
+        help="top-k values and their relative change at each basis-ladder step",
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta0", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -168,7 +172,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         lines += [
             f"{t:.17g},{f:.17g}" for t, f in zip(pair.theta, pair.profile)
         ]
-        _write("\n".join(lines), args.dump_file)
+        try:
+            _write("\n".join(lines), args.dump_file)
+        except InvalidInput:
+            # A failed command leaves no output: drop the --out just written.
+            if args.out is not None:
+                Path(args.out).unlink(missing_ok=True)
+            raise
     return EXIT_OK
 
 
@@ -226,14 +236,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_convergence(args: argparse.Namespace) -> int:
     domain = CapDomain(args.n, args.theta0)
     rows = convergence_table(domain, args.k, levels=args.levels)
-    head = ["N"]
+    head = ["P"]
     head += [f"lambda_{i + 1}" for i in range(args.k)]
-    head += [f"order_{i + 1}" for i in range(args.k)]
+    head += [f"change_{i + 1}" for i in range(args.k)]
     lines = [",".join(head)]
-    for N, values, orders in rows:
-        cells: list[str] = [str(N)]
+    for P, values, changes in rows:
+        cells: list[str] = [str(P)]
         cells += [f"{v:.17g}" for v in values]
-        cells += ["" if o is None else f"{o:.6g}" for o in orders]
+        cells += ["" if c is None else f"{c:.3e}" for c in changes]
         lines.append(",".join(cells))
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK

@@ -55,16 +55,8 @@ class InsufficientModes(SphereBuckleError):
     """Too few per-mode eigenvalues to fill the requested spectrum length."""
 
 
-class GridTooCoarse(InvalidInput):
-    """Radial grid must have at least 16 cells."""
-
-
-class NotPositiveDefinite(SphereBuckleError):
-    """Cholesky factorization of the B matrix failed."""
-
-
 class NoConvergence(SphereBuckleError):
-    """An iterative solve or grid refinement exhausted its budget."""
+    """An iterative solve or basis refinement exhausted its budget."""
 
 
 class UnsupportedMode(InvalidInput):

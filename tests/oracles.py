@@ -1,16 +1,36 @@
 """Independent reference oracles, written before the code they judge.
 
 Everything here is deliberately primitive: power series, sign scans,
-bisection, and two-grid extrapolation. No scipy, no LAPACK eigensolvers.
-The package under test must agree with these within stated tolerances;
-the oracles never import the package.
+bisection, and the Gauss hypergeometric function in arbitrary precision
+(mpmath). No scipy, no LAPACK eigensolvers, no discretization. The package
+under test must agree with these within stated tolerances; the oracles
+never import the package.
+
+The exact cap values come from the rim determinant. In azimuthal mode m,
+with mu = m(m + n - 2), the solution of
+
+    f'' + (n-1) cot(theta) f' - mu f / sin^2(theta) + E f = 0
+
+that is regular at the pole is f_E = sin^m(theta) 2F1(a, b; m + n/2; z),
+z = sin^2(theta / 2), a + b = 2m + n - 1, ab = m(m + n - 1) - E. A clamped
+eigenfunction solves (Delta + lambda) Delta u = 0, so it is
+u = f_lambda + c f_0 with f_0 harmonic, and lambda is a clamped value of
+mode m exactly when the rim determinant
+
+    W(lambda) = f_lambda(theta0) f_0'(theta0) - f_lambda'(theta0) f_0(theta0)
+
+vanishes. Both terms carry sin^(2m+1)(theta0) / 2 > 0, which is dropped:
+`rim_determinant` returns F_lambda dF_0/dz - dF_lambda/dz F_0 at z0, with
+the same roots and signs. W(0) = 0 in every mode (f_lambda = f_0 there).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from typing import Mapping, Sequence
 
-import numpy as np
+import mpmath as mp
 
 # First zeros of Bessel J_nu, frozen from bessel_first_zero below.
 # tan_eq_x_root() reproduces J_3HALF_1 to the last bit.
@@ -70,93 +90,103 @@ def tan_eq_x_root() -> float:
     return bisect(f, math.pi + 1e-9, 1.5 * math.pi - 1e-9)
 
 
-def charpoly_eigs(A: np.ndarray, B: np.ndarray, count: int | None = None) -> list[float]:
-    """Generalized eigenvalues of a symmetric-definite pair by brute force.
+# Working precision of the hypergeometric oracle, in decimal digits.
+DPS = 20
 
-    Scans det(A - lam B) for sign changes and bisects each bracket. Exact
-    algorithmic independence from any Cholesky/tridiagonal pipeline; uses
-    only the LU determinant. Intended for small dense pairs with simple
-    eigenvalues (random SPD draws).
+
+def _params(n: int, m: int, E) -> tuple:
+    """(a, b, c) of f_E in mode m: a, b = (2m + n - 1)/2 +- sqrt((n-1)^2/4 + E)."""
+    half = mp.mpf(2 * m + n - 1) / 2
+    root = mp.sqrt(mp.mpf(n - 1) ** 2 / 4 + E)
+    return half + root, half - root, mp.mpf(m) + mp.mpf(n) / 2
+
+
+def _hyp(n: int, m: int, E, z) -> tuple:
+    """2F1(a, b; c; z) of f_E and its z-derivative (ab/c) 2F1(a+1, b+1; c+1; z)."""
+    a, b, c = _params(n, m, E)
+    return mp.hyp2f1(a, b, c, z), a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, z)
+
+
+@lru_cache(maxsize=256)
+def _harmonic_at_rim(n: int, theta0: float, m: int) -> tuple:
+    """z0 = sin^2(theta0 / 2), and F_0 and dF_0/dz there."""
+    with mp.workdps(DPS):
+        z0 = mp.sin(mp.mpf(theta0) / 2) ** 2
+        return (z0, *_hyp(n, m, 0, z0))
+
+
+def rim_determinant(n: int, theta0: float, m: int, lam) -> mp.mpf:
+    """W(lam) of mode m, up to the positive factor sin^(2m+1)(theta0) / 2."""
+    z0, F0, dF0 = _harmonic_at_rim(n, theta0, m)
+    with mp.workdps(DPS):
+        F, dF = _hyp(n, m, mp.mpf(lam), z0)
+        return F * dF0 - dF * F0
+
+
+def cap_value(n: int, theta0: float, m: int, seed: float) -> float:
+    """The root of mode m's rim determinant nearest `seed`, by secant steps.
+
+    W is divided by its size a relative 1e-6 from the seed, so that
+    findroot's residual test reads a relative error in lambda.
     """
-    n = A.shape[0]
-    want = n if count is None else count
-    det = lambda lam: float(np.linalg.det(A - lam * B))
-    hi = 1.0
-    for _ in range(80):
-        grid_n = 20000
-        lams = np.linspace(0.0, hi, grid_n)
-        vals = np.array([det(l) for l in lams])
-        signs = np.sign(vals)
-        idx = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        if len(idx) >= want and (len(idx) == 0 or lams[idx[-1] + 1] < 0.95 * hi):
-            roots = [
-                bisect(det, float(lams[i]), float(lams[i + 1])) for i in idx[:want]
-            ]
-            return roots
-        hi *= 2.0
-    raise AssertionError("could not bracket enough sign changes")
+    with mp.workdps(DPS):
+        x0 = mp.mpf(seed)
+        size = abs(rim_determinant(n, theta0, m, x0 * (1 + mp.mpf("1e-6"))))
+        return float(mp.findroot(lambda lam: rim_determinant(n, theta0, m, lam) / size, x0))
 
 
-def richardson2(fine: float, coarse: float) -> float:
-    """Two-grid extrapolation assuming exact order 2 under doubling."""
-    return (4.0 * fine - coarse) / 3.0
+def eigenfunction(
+    n: int, theta0: float, m: int, lam: float, thetas: Sequence[float]
+) -> list[float]:
+    """The clamped eigenfunction f_lam - (f_lam(theta0) / f_0(theta0)) f_0 at thetas."""
+    z0, F0, _ = _harmonic_at_rim(n, theta0, m)
+    with mp.workdps(DPS):
+        a, b, c = _params(n, m, mp.mpf(lam))
+        ratio = mp.hyp2f1(a, b, c, z0) / F0
+        a0, b0, _ = _params(n, m, 0)
+        out = []
+        for t in thetas:
+            z = mp.sin(mp.mpf(t) / 2) ** 2
+            F = mp.hyp2f1(a, b, c, z) - ratio * mp.hyp2f1(a0, b0, c, z)
+            out.append(float(mp.sin(mp.mpf(t)) ** m * F))
+        return out
 
 
-def observed_order(v_h: float, v_2h: float, v_4h: float) -> float:
-    """log2 of successive difference ratios under grid doubling."""
-    d1 = abs(v_2h - v_4h)
-    d2 = abs(v_h - v_2h)
-    if d2 == 0.0:
-        return float("inf")
-    return math.log2(d1 / d2)
+def reported_modes(pairs, cutoff: int) -> dict[int, list[float]]:
+    """Each mode's distinct reported values, for every mode m <= cutoff.
 
-
-def dirichlet_hemisphere_reference(n: int = 2, levels: tuple[int, ...] = (256, 512, 1024)) -> float:
-    """First Dirichlet Laplace-Beltrami eigenvalue of the n=2 hemisphere.
-
-    Independent rebuild: cell-centered second-order finite differences for
-    the gradient form against the mass form, smallest Rayleigh quotient by
-    inverse power iteration on dense matrices, Richardson-extrapolated.
-    The analytic value for n=2, theta0=pi/2 is exactly 2 (eigenfunction
-    cos theta).
+    pairs carry .m and .value, in ascending value order.
     """
-    theta0 = math.pi / 2.0
-
-    def value(N: int) -> float:
-        h = theta0 / N
-        faces = np.arange(1, N) * h
-        wf = np.sin(faces) ** (n - 1)
-        centers = (np.arange(N) + 0.5) * h
-        wc = np.sin(centers) ** (n - 1) * h
-        # Gradient form: interior faces plus the Dirichlet boundary face,
-        # where the one-sided slope to a zero boundary value is 2 f_N / h
-        # at distance h/2 (low-order but only on one cell; refined away).
-        K = np.zeros((N, N))
-        for j in range(N - 1):
-            K[j, j] += wf[j] / h
-            K[j + 1, j + 1] += wf[j] / h
-            K[j, j + 1] -= wf[j] / h
-            K[j + 1, j] -= wf[j] / h
-        K[N - 1, N - 1] += math.sin(theta0) ** (n - 1) * (2.0 / h)
-        M = np.diag(wc)
-        # Smallest Rayleigh quotient by shifted inverse power iteration.
-        x = np.ones(N)
-        x /= math.sqrt(x @ (M @ x))
-        lam = x @ (K @ x)
-        for _ in range(200):
-            y = np.linalg.solve(K, M @ x)
-            x = y / math.sqrt(y @ (M @ y))
-            new = x @ (K @ x)
-            if abs(new - lam) <= 1e-14 * abs(new):
-                lam = new
-                break
-            lam = new
-        return lam
-
-    vals = [value(N) for N in levels]
-    return richardson2(vals[-1], vals[-2])
+    modes: dict[int, list[float]] = {m: [] for m in range(cutoff + 1)}
+    for p in pairs:
+        if p.value not in modes[p.m]:
+            modes[p.m].append(p.value)
+    return modes
 
 
-# Frozen output of dirichlet_hemisphere_reference() at levels (256, 512, 1024);
-# analytic value 2.
-HEMISPHERE_DIRICHLET_N2 = 2.000000000000877
+def completeness_failures(
+    n: int, theta0: float, modes: Mapping[int, Sequence[float]], top: float
+) -> list[str]:
+    """Intervals where a reported spectrum misses or adds a root of W.
+
+    modes maps each azimuthal index m to its reported distinct values,
+    ascending (empty for a mode that reports none), and top is the largest
+    value of the spectrum. W is sampled in each mode at 0+ (1e-6 top), at
+    the midpoints of consecutive values, and at top (1 + 1e-9). W must
+    change sign once around each value, and not at all in a mode with no
+    value. A sign test sees the parity of the roots in an interval: a
+    value left out puts two roots in one interval, so its omission fails.
+    """
+    low, top = 1e-6 * top, top * (1 + 1e-9)
+    failures = []
+    for m, values in sorted(modes.items()):
+        points = [low] + [(a + b) / 2 for a, b in zip(values, values[1:])] + [top]
+        signs = [mp.sign(rim_determinant(n, theta0, m, p)) for p in points]
+        if not values and signs[0] != signs[1]:
+            failures.append(f"m={m}: a root below {top:.6g}, none reported")
+        for i, v in enumerate(values):
+            if signs[i] == signs[i + 1]:
+                failures.append(
+                    f"m={m}: even root count in ({points[i]:.6g}, {points[i + 1]:.6g}) around {v!r}"
+                )
+    return failures

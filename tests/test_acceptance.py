@@ -3,7 +3,8 @@
 Each test covers one numbered criterion and prints a single pass/fail
 line to the live terminal, so a full run reads as a checklist. The
 standard campaign (n in {2,3,4}, apertures 0.5..3.0, ten eigenvalues per
-case) is solved once per session and shared by all spectrum criteria.
+case) is solved once per session and shared by all spectrum criteria, and
+so are the exact cap values of its eigenpairs (`oracles.cap_value`).
 """
 
 import json
@@ -27,10 +28,9 @@ from spherebuckle.bounds import (
     optimal_delta,
     wangxia_rhs,
 )
-from spherebuckle import solver
 from spherebuckle.harness import CampaignConfig, run_campaign
 from spherebuckle.spectrum import CapDomain, Spectrum
-from spherebuckle.solver import convergence_table, solve_cap, solve_gevp
+from spherebuckle.solver import convergence_table, solve_cap
 
 SCALAR_IDS = ("thm14", "yang15", "upper16", "gap17", "lower216", "chebyshev")
 
@@ -50,6 +50,29 @@ def standard_campaign():
         (c.n, c.theta0, c.error) for c in report.cases if c.error
     ]
     return report, elapsed
+
+
+@pytest.fixture(scope="session")
+def exact_caps(standard_campaign):
+    """Per standard cap: its k = 10 spectrum and pairs, and the exact value
+    of each pair's (m, value) root, each distinct root found once."""
+    report, _ = standard_campaign
+    caps = {}
+    for case in report.cases:
+        spectrum, pairs = solve_cap(CapDomain(case.n, case.theta0), 10)
+        roots = {}
+        for p in pairs:
+            if (p.m, p.value) not in roots:
+                roots[p.m, p.value] = oracles.cap_value(case.n, case.theta0, p.m, p.value)
+        caps[case.n, case.theta0] = spectrum, pairs, [roots[p.m, p.value] for p in pairs]
+    return caps
+
+
+def _flat_limit_cap(n: int, j: float, lam1: float) -> tuple[float, float]:
+    """Relative deviation of lam1 from the exact m = 0 value at theta0 = 0.05,
+    found from the flat-limit seed j^2 / theta0^2, and that value."""
+    exact = oracles.cap_value(n, 0.05, 0, j * j / 0.05**2)
+    return abs(lam1 - exact) / exact, exact
 
 
 def _rel_slack(check: dict) -> float:
@@ -72,26 +95,25 @@ def test_criterion_01_flat_limit_n2(capsys):
     wall = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stderr
     lam1 = json.loads(proc.stdout)["eigenvalues"][0]
-    scaled = lam1 * 0.05**2
-    target = oracles.J_1_1**2
-    rel = abs(scaled - target) / target
+    rel, exact = _flat_limit_cap(2, oracles.J_1_1, lam1)
     _verdict(
-        capsys, 1, "flat-limit oracle n=2",
-        rel < 1e-2 and wall < 10.0,
-        f"lam1*theta0^2 = {scaled:.6f} vs {target:.6f} "
-        f"(rel {rel:.2e}), wall {wall:.2f}s",
+        capsys, 1, "flat-limit cap n=2 vs exact",
+        rel <= 1e-10 and wall < 10.0,
+        f"lam1 = {lam1!r} vs exact {exact!r} (rel {rel:.2e}); "
+        f"lam1*theta0^2 = {lam1 * 0.05**2:.6f} vs j_1,1^2 = {oracles.J_1_1**2:.6f}, "
+        f"wall {wall:.2f}s",
     )
 
 
 def test_criterion_02_flat_limit_n3(capsys):
     spectrum, _ = solve_cap(CapDomain(3, 0.05), 1)
-    scaled = spectrum.values[0] * 0.05**2
-    target = oracles.J_3HALF_1**2
-    rel = abs(scaled - target) / target
+    lam1 = spectrum.values[0]
+    rel, exact = _flat_limit_cap(3, oracles.J_3HALF_1, lam1)
     _verdict(
-        capsys, 2, "flat-limit oracle n=3",
-        rel < 1e-2,
-        f"lam1*theta0^2 = {scaled:.6f} vs {target:.6f} (rel {rel:.2e})",
+        capsys, 2, "flat-limit cap n=3 vs exact",
+        rel <= 1e-10,
+        f"lam1 = {lam1!r} vs exact {exact!r} (rel {rel:.2e}); "
+        f"lam1*theta0^2 = {lam1 * 0.05**2:.6f} vs j_3/2,1^2 = {oracles.J_3HALF_1**2:.6f}",
     )
 
 
@@ -205,57 +227,59 @@ def test_criterion_08_singleton_closed_form(capsys):
     )
 
 
-def test_criterion_09_eigenpair_consistency(capsys, standard_campaign):
-    # Every returned profile must belong to its value: under its own mode
-    # factors the Rayleigh quotient |K y|^2 / (|D y|^2 + y.mass.y) of the
-    # constrained cells y reproduces the reported eigenvalue. The worst
-    # standard pair is about 5e-4 off; a profile reported with the nearest
-    # other distinct value is at least 1.8e-3 off.
-    report, _ = standard_campaign
+def _unit(samples) -> np.ndarray:
+    """Samples scaled to a largest magnitude of 1, that entry positive."""
+    v = np.asarray(samples, dtype=float)
+    v = v / np.max(np.abs(v))
+    return -v if v[np.argmax(np.abs(v))] < 0.0 else v
+
+
+def test_criterion_09_eigenpair_consistency(capsys, exact_caps):
+    # Every returned profile must be the exact eigenfunction of its value,
+    # f_lam - (f_lam(theta0) / f_0(theta0)) f_0 in its mode, compared at
+    # every 32nd cell with both scaled to a unit maximum. The worst
+    # standard pair is about 1.1e-7 off; a profile from a wrong column is
+    # off by O(1).
     worst = (0.0, None)
     count = 0
-    for case in report.cases:
-        domain = CapDomain(case.n, case.theta0)
-        _, pairs = solve_cap(domain, 10)
-        for pair in pairs:
-            sys_ = solver.assemble_mode(domain, pair.m, len(pair.profile))
-            y = np.asarray(pair.profile[:-1])
-            Dy = sys_.D @ y
-            rq = np.sum((sys_.K @ y) ** 2) / (Dy @ Dy + y @ (sys_.mass @ y))
-            rel = abs(rq - pair.value) / pair.value
-            worst = max(worst, (rel, (case.n, case.theta0, pair.m)), key=lambda w: w[0])
+    for (n, theta0), (_, pairs, exact) in exact_caps.items():
+        seen = set()
+        for pair, lam in zip(pairs, exact):
+            if (pair.m, pair.value) in seen:
+                continue
+            seen.add((pair.m, pair.value))
+            thetas = pair.theta[::32]
+            want = _unit(oracles.eigenfunction(n, theta0, pair.m, lam, thetas))
+            dev = float(np.max(np.abs(_unit(pair.profile[::32]) - want)))
+            worst = max(worst, (dev, (n, theta0, pair.m)), key=lambda w: w[0])
             count += 1
     _verdict(
         capsys, 9, "eigenpair consistency",
-        len(report.cases) == 18 and count > 0 and worst[0] <= 1e-3,
-        f"{count} pairs on 18 caps at k=10, worst Rayleigh-quotient rel "
-        f"deviation {worst[0]:.3e} at (n, theta0, m) = {worst[1]}",
+        len(exact_caps) == 18 and count > 0 and worst[0] <= 1e-6,
+        f"{count} distinct pairs on 18 caps at k=10, worst deviation from the exact "
+        f"eigenfunction {worst[0]:.3e} at (n, theta0, m) = {worst[1]}",
     )
 
 
-def test_criterion_10_solver_self_consistency(capsys):
-    rows = convergence_table(CapDomain(2, 1.0), 5, levels=4)
-    orders = rows[-1][2]
-    orders_ok = all(o is not None and 1.7 <= o <= 2.3 for o in orders)
-
-    rng = np.random.default_rng(20260822)
-    worst = 0.0
-    for _ in range(3):
-        F = rng.normal(size=(6, 6))
-        A = F @ F.T + 1e-3 * np.eye(6)
-        G = rng.normal(size=(6, 6))
-        B = G @ G.T + 0.5 * np.eye(6)
-        got = [v for v, _ in solve_gevp(A, B, 6)]
-        want = oracles.charpoly_eigs(A, B)
-        worst = max(
-            worst,
-            max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want)),
-        )
+def test_criterion_10_solver_self_consistency(capsys, exact_caps):
+    # solve_cap's basis ladder on the standard cap it needs most steps for:
+    # each value's change per step falls until it is at 1e-10 or below,
+    # and the last step's values are exact.
+    rows = convergence_table(CapDomain(4, 3.0), 10, levels=4)
+    changes = [r[2] for r in rows[1:]]
+    falling = all(
+        b <= 1e-10 or b < a
+        for prev, cur in zip(changes, changes[1:])
+        for a, b in zip(prev, cur)
+    )
+    settled = max(changes[-1]) <= 1e-10
+    exact = exact_caps[4, 3.0][2]
+    dev = max(abs(v - e) / e for v, e in zip(rows[-1][1], exact))
     _verdict(
-        capsys, 10, "convergence order and dense-solver oracle",
-        orders_ok and worst <= 1e-10,
-        f"orders {[f'{o:.2f}' for o in orders]}, "
-        f"worst oracle deviation {worst:.3e}",
+        capsys, 10, "basis-ladder self-convergence and exact values",
+        falling and settled and dev <= 1e-10,
+        f"largest change per step {[f'{max(c):.1e}' for c in changes]} at "
+        f"P = {[r[0] for r in rows[1:]]}, last step vs exact {dev:.3e}",
     )
 
 
@@ -303,20 +327,23 @@ def test_criterion_11_planar_degeneration(capsys):
     )
 
 
-def test_criterion_12_spectral_matches_fd(capsys, standard_campaign):
-    # The campaign runs on the spectral engine; the FD reference engine
-    # must agree with it on every standard cap (they agree within about
-    # 1.2e-9, which is FD's own discretization error).
+def test_criterion_12_spectral_matches_oracle(capsys, standard_campaign, exact_caps):
+    # Every campaign value is a root of its mode's rim determinant, and no
+    # root below the k-th value is missing (the sign scan of
+    # oracles.completeness_failures over every mode up to the cutoff).
     report, _ = standard_campaign
     worst = (0.0, None)
+    failures = []
     for case in report.cases:
-        reference, _ = solver._solve_cap_fd(CapDomain(case.n, case.theta0), 10)
-        dev = max(
-            abs(a - b) / b for a, b in zip(case.eigenvalues, reference.values)
-        )
+        spectrum, pairs, exact = exact_caps[case.n, case.theta0]
+        dev = max(abs(a - b) / b for a, b in zip(case.eigenvalues, exact))
         worst = max(worst, (dev, (case.n, case.theta0)), key=lambda w: w[0])
+        modes = oracles.reported_modes(pairs, spectrum.meta["mode_cutoff"])
+        top = spectrum.values[-1]
+        failures += oracles.completeness_failures(case.n, case.theta0, modes, top)
     _verdict(
-        capsys, 12, "spectral engine vs FD reference",
-        len(report.cases) == 18 and worst[0] <= 1e-8,
-        f"18 caps at k=10, worst rel deviation {worst[0]:.3e} at (n, theta0) = {worst[1]}",
+        capsys, 12, "spectral engine vs exact rim-determinant roots",
+        len(report.cases) == 18 and worst[0] <= 1e-10 and not failures,
+        f"18 caps at k=10, worst rel deviation {worst[0]:.3e} at (n, theta0) = "
+        f"{worst[1]}, completeness failures {failures or 'none'}",
     )

@@ -657,6 +657,20 @@ class TestCli:
         assert code == 4
         assert "cannot write" in capsys.readouterr().err
 
+    def test_solve_unwritable_dump_file_writes_nothing(self, tmp_path, capsys):
+        # The spectrum is written before the dump; a failed dump removes it.
+        out = tmp_path / "q.json"
+        code = cli.main(
+            [
+                "solve", "--n", "2", "--theta0", "1.0", "--k", "2",
+                "--out", str(out),
+                "--dump-m", "0", "--dump-index", "0",
+                "--dump-file", str(tmp_path / "missing" / "q.csv"),
+            ]
+        )
+        assert code == 4
+        assert not out.exists()
+
     def test_verify_unwritable_output_path_exits_4(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
         cfg = _write_mini_config(tmp_path, output={"path": str(out)})
@@ -732,15 +746,24 @@ class TestCli:
         )
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "N,lambda_1,order_1"
+        assert lines[0] == "P,lambda_1,change_1"
         assert len(lines) == 4
+        assert lines[1].endswith(",")  # no change on the first step
         last = lines[-1].split(",")
-        assert 1.7 <= float(last[-1]) <= 2.3
+        assert int(last[0]) > int(lines[1].split(",")[0])
+        assert float(last[-1]) <= 1e-10
 
     def test_convergence_k0_exits_4(self, capsys):
         code = cli.main(["convergence", "--n", "2", "--theta0", "1.0", "--k", "0"])
         assert code == 4
         assert "k must be >= 1" in capsys.readouterr().err
+
+    def test_convergence_one_level_exits_4(self, capsys):
+        code = cli.main(
+            ["convergence", "--n", "2", "--theta0", "1.0", "--k", "2", "--levels", "1"]
+        )
+        assert code == 4
+        assert "at least 2 levels" in capsys.readouterr().err
 
     def test_verify_mistyped_config_exits_4(self, tmp_path, capsys):
         cfg = _write_mini_config(tmp_path, k_max=2.9)
