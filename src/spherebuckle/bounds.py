@@ -63,28 +63,11 @@ __all__ = [
     "default_delta_grid",
     "build_report",
     "report_to_json",
-    "report_to_csv_rows",
-    "CSV_COLUMNS",
 ]
 
 # All checked quantities are O(lambda^2 k); a relative tolerance anchored at
 # max(|lhs|, |rhs|, 1) behaves uniformly across scales.
 DEFAULT_REL_TOL = 1e-10
-
-# The one CSV schema, shared by single-report rows and campaign reports.
-CSV_COLUMNS = (
-    "n",
-    "theta0",
-    "k",
-    "inequality_id",
-    "lhs",
-    "rhs",
-    "slack",
-    "holds",
-    "delta",
-    "meta_N",
-    "meta_order",
-)
 
 
 @dataclass(frozen=True)
@@ -453,27 +436,3 @@ def report_to_json(report: BoundReport) -> str:
     }
     return _dumps(doc)
 
-
-def _g17(x: float | None) -> str:
-    return "" if x is None else f"{x:.17g}"
-
-
-def _csv_row(
-    n: int, theta0: float | None, k: int | None, check: dict[str, Any], meta_N, meta_order
-) -> dict[str, Any]:
-    """One CSV_COLUMNS row for a check in its _check_doc form."""
-    c = check
-    sides = (_g17(c["lhs"]), _g17(c["rhs"]), _g17(c["slack"]))
-    values = (n, _g17(theta0), "" if k is None else k, c["inequality_id"], *sides)
-    values += (str(c["holds"]).lower(), _g17(c["delta"]), meta_N, meta_order)
-    return dict(zip(CSV_COLUMNS, values))
-
-
-def report_to_csv_rows(report: BoundReport) -> list[dict[str, Any]]:
-    """Flatten a report into rows under the fixed CSV schema."""
-    meta_N = report.meta.get("N", "")
-    meta_order = report.meta.get("order", "")
-    return [
-        _csv_row(report.n, report.theta0, report.k, _check_doc(c), meta_N, meta_order)
-        for c in report.checks
-    ]

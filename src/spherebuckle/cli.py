@@ -15,9 +15,11 @@ check there is no counterexample.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
-from pathlib import Path
-from typing import Sequence
+from contextlib import ExitStack
+from typing import IO, Sequence
 
 from .bounds import (
     CheckRecord,
@@ -65,13 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="ambient sphere dimension")
     p.add_argument("--theta0", type=float, required=True, help="cap aperture in radians")
     p.add_argument("--k", type=int, required=True, help="number of eigenvalues")
-    p.add_argument(
-        "--grid",
-        type=int,
-        default=128,
-        help="accepted for compatibility and ignored: the solver sizes its "
-        "basis from --k",
-    )
     p.add_argument("--out", help="write the spectrum here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--dump-m", type=int, help="azimuthal index of a profile to dump")
@@ -126,20 +121,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
+def _open_all(paths: list[str]) -> list[IO[str]]:
+    """Open every path for writing, or none of them.
+
+    Files open for appending, so an open truncates nothing. If one cannot
+    be opened, the others are closed, the files this call created are
+    removed, and the error exits 4.
+    """
+    opened: list[tuple[IO[str], str, bool]] = []
+    for path in paths:
+        created = not os.path.exists(path)
         try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
+            opened.append((open(path, "a", encoding="utf-8"), path, created))
         except OSError as exc:
-            raise InvalidInput(f"cannot write {out!r}: {exc}") from exc
-        print(f"wrote {out}")
+            for fh, done, new in opened:
+                fh.close()
+                if new:
+                    os.remove(done)
+            raise InvalidInput(f"cannot write {path!r}: {exc}") from exc
+    return [fh for fh, _, _ in opened]
+
+
+def _write(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path), to stdout where path is None, each ending in a newline.
+
+    Every file is opened before any text is written (`_open_all`), and
+    "wrote <path>" is printed for each once all are written. A text is
+    written as it is, not copied to append its newline: a campaign report
+    runs to megabytes.
+    """
+    paths = [path for _, path in outputs if path is not None]
+    with ExitStack() as stack:
+        files = iter([stack.enter_context(fh) for fh in _open_all(paths)])
+        for text, path in outputs:
+            end = "" if text.endswith("\n") else "\n"
+            if path is None:
+                sys.stdout.write(text)
+                sys.stdout.write(end)
+                continue
+            fh = next(files)
+            try:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate(0)
+                fh.write(text)
+                fh.write(end)
+                fh.flush()
+            except OSError as exc:
+                raise InvalidInput(f"cannot write {path!r}: {exc}") from exc
+    for path in paths:
+        print(f"wrote {path}")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -150,9 +180,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
     domain = CapDomain(args.n, args.theta0)
     spectrum, pairs = solve_cap(domain, args.k)
-    # The dump request is checked before anything is written, so a bad
-    # one exits 4 without leaving --out behind.
-    pair = None
+    if args.format == "json":
+        outputs = [(spectrum_to_json(spectrum, domain), args.out)]
+    else:
+        lines = ["index,lambda"]
+        lines += [f"{i + 1},{v:.17g}" for i, v in enumerate(spectrum.values)]
+        outputs = [("\n".join(lines), args.out)]
     if args.dump_file is not None:
         mode_pairs = [p for p in pairs if p.m == args.dump_m]
         if not 0 <= args.dump_index < len(mode_pairs):
@@ -161,24 +194,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 f"(mode has {len(mode_pairs)} computed pairs)"
             )
         pair = mode_pairs[args.dump_index]
-    if args.format == "json":
-        _write(spectrum_to_json(spectrum, domain), args.out)
-    else:
-        lines = ["index,lambda"]
-        lines += [f"{i + 1},{v:.17g}" for i, v in enumerate(spectrum.values)]
-        _write("\n".join(lines) + "\n", args.out)
-    if pair is not None:
         lines = ["theta,f"]
-        lines += [
-            f"{t:.17g},{f:.17g}" for t, f in zip(pair.theta, pair.profile)
-        ]
-        try:
-            _write("\n".join(lines), args.dump_file)
-        except InvalidInput:
-            # A failed command leaves no output: drop the --out just written.
-            if args.out is not None:
-                Path(args.out).unlink(missing_ok=True)
-            raise
+        lines += [f"{t:.17g},{f:.17g}" for t, f in zip(pair.theta, pair.profile)]
+        outputs.append(("\n".join(lines), args.dump_file))
+    _write(*outputs)
     return EXIT_OK
 
 
@@ -204,8 +223,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if cfg.output_format == "csv"
         else campaign_to_json(report)
     )
-    out = args.out if args.out is not None else cfg.output_path
-    _write(text, out)
+    _write((text, args.out if args.out is not None else cfg.output_path))
     s = report.summary
     print(
         f"cases={s['cases']} checks={s['total_checks']} "

@@ -14,8 +14,6 @@ must not masquerade as a counterexample to an exact inequality.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -23,18 +21,10 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any
 
-from .bounds import (
-    CSV_COLUMNS,
-    CheckRecord,
-    _bounds_doc,
-    _check_doc,
-    _csv_row,
-    build_report,
-    default_delta_grid,
-)
+from .bounds import CheckRecord, _bounds_doc, _check_doc, build_report, default_delta_grid
 from .errors import ConfigError, SphereBuckleError
 from .spectrum import CapDomain, _dumps
-from .solver import solve_cap
+from .solver import MAX_REFINEMENTS, solve_cap
 
 __all__ = [
     "CampaignConfig",
@@ -46,7 +36,18 @@ __all__ = [
     "CAMPAIGN_CSV_COLUMNS",
 ]
 
-CAMPAIGN_CSV_COLUMNS = CSV_COLUMNS
+CAMPAIGN_CSV_COLUMNS = (
+    "n",
+    "theta0",
+    "k",
+    "inequality_id",
+    "lhs",
+    "rhs",
+    "slack",
+    "holds",
+    "delta",
+    "meta_N",
+)
 
 STANDARD_DIMS = (2, 3, 4)
 STANDARD_APERTURES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -82,8 +83,7 @@ class CampaignConfig:
     dims: tuple[int, ...] = STANDARD_DIMS
     apertures: tuple[float, ...] = STANDARD_APERTURES
     k_max: int = 10
-    N0: int = 128  # accepted and echoed for compatibility; the solver ignores it
-    max_refinements: int = 8
+    max_refinements: int = MAX_REFINEMENTS
     grid_rel_tol: float = 1e-6
     delta_min: float = 1e-2
     delta_max: float = 1e2
@@ -146,9 +146,7 @@ class CampaignConfig:
             kwargs["apertures"] = tuple(_number(t, "apertures") for t in apertures)
         if "k_max" in doc:
             kwargs["k_max"] = _typed(doc["k_max"], "k_max", int, "an integer")
-        grid = _section(doc, "grid", ("N0", "max_refinements", "rel_tol"))
-        if "N0" in grid:
-            kwargs["N0"] = _typed(grid["N0"], "grid.N0", int, "an integer")
+        grid = _section(doc, "grid", ("max_refinements", "rel_tol"))
         if "max_refinements" in grid:
             kwargs["max_refinements"] = _typed(
                 grid["max_refinements"], "grid.max_refinements", int, "an integer"
@@ -192,7 +190,8 @@ class CaseResult:
 
     reports holds one bound doc per k (bounds._bounds_doc: k, S, T, the
     three root bounds and delta*), exactly as written under the report's
-    "bounds"; the checks of every k are in checks.
+    "bounds"; the checks of every k are in checks, the case-level lemma21
+    check (slack lambda_1 - n) first.
     """
 
     n: int
@@ -201,8 +200,6 @@ class CaseResult:
     meta: dict[str, Any] = field(default_factory=dict)
     reports: tuple[dict[str, Any], ...] = ()
     checks: tuple[dict[str, Any], ...] = ()
-    lemma21_margin: float | None = None
-    delta_star: dict[int, float] = field(default_factory=dict)
     dominance_min: dict[int, float] = field(default_factory=dict)
     error: str | None = None
     error_type: str | None = None
@@ -257,7 +254,6 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
     grid = cfg.delta_grid()
     reports: list[dict[str, Any]] = []
     checks: list[dict[str, Any]] = []
-    delta_star: dict[int, float] = {}
     dominance_min: dict[int, float] = {}
 
     # First-eigenvalue floor: the whole sphere's value is the infimum
@@ -276,10 +272,6 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
         dominance_min[k] = min(
             rec.slack for rec in rep.checks if rec.inequality_id == "dominance"
         )
-        # delta* needs a nonzero gap and sum g^2 w > 0; a cap's simple
-        # lambda_1 > n guarantees both, so this is only a guard.
-        if rep.delta_star is not None:
-            delta_star[k] = rep.delta_star
 
     return CaseResult(
         n=n,
@@ -288,8 +280,6 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
         meta=dict(spectrum.meta),
         reports=tuple(reports),
         checks=tuple(checks),
-        lemma21_margin=spectrum.values[0] - n,
-        delta_star=delta_star,
         dominance_min=dominance_min,
     )
 
@@ -370,7 +360,6 @@ def _config_doc(cfg: CampaignConfig) -> dict[str, Any]:
         "apertures": list(cfg.apertures),
         "k_max": cfg.k_max,
         "grid": {
-            "N0": cfg.N0,
             "max_refinements": cfg.max_refinements,
             "rel_tol": cfg.grid_rel_tol,
         },
@@ -395,8 +384,6 @@ def report_to_json(report: CampaignReport, timestamp: bool = True) -> str:
                 "eigenvalues": list(case.eigenvalues),
                 "meta": case.meta,
                 "bounds": list(case.reports),
-                "lemma21_margin": case.lemma21_margin,
-                "delta_star": {str(k): v for k, v in sorted(case.delta_star.items())},
                 "dominance_min": {
                     str(k): v for k, v in sorted(case.dominance_min.items())
                 },
@@ -412,30 +399,43 @@ def report_to_json(report: CampaignReport, timestamp: bool = True) -> str:
     return _dumps(doc)
 
 
+def _g17(x: float | None) -> str:
+    return "" if x is None else f"{x:.17g}"
+
+
 def report_to_csv(report: CampaignReport) -> str:
-    """Flat check rows under the fixed columns, deterministically ordered."""
-    rows: list[dict[str, Any]] = []
+    """One row per check under CAMPAIGN_CSV_COLUMNS, deterministically ordered.
+
+    Rows sort by (n, theta0, k, inequality_id, delta), the case-level row
+    (empty k) first; meta_N is the case's largest basis size. A case that
+    failed to solve has no rows.
+    """
+    rows: list[tuple[tuple[Any, ...], str]] = []
     for case in report.cases:
         if case.error is not None:
             continue
-        meta_N = case.meta.get("N", "")
-        # Cases come from solve_cap, whose spectral values have no grid
-        # order, so meta_order stays empty.
-        rows += (
-            _csv_row(case.n, case.theta0, c["k"], c, meta_N, "")
-            for c in case.checks
-        )
-    rows.sort(
-        key=lambda r: (
-            r["n"],
-            float(r["theta0"]),
-            -1 if r["k"] == "" else int(r["k"]),
-            r["inequality_id"],
-            float(r["delta"]) if r["delta"] != "" else -1.0,
-        )
-    )
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+        for c in case.checks:
+            k, delta = c["k"], c["delta"]
+            cells = (
+                case.n,
+                _g17(case.theta0),
+                "" if k is None else k,
+                c["inequality_id"],
+                _g17(c["lhs"]),
+                _g17(c["rhs"]),
+                _g17(c["slack"]),
+                str(c["holds"]).lower(),
+                _g17(delta),
+                case.meta.get("N", ""),
+            )
+            key = (
+                case.n,
+                case.theta0,
+                -1 if k is None else k,
+                c["inequality_id"],
+                -1.0 if delta is None else delta,
+            )
+            rows.append((key, ",".join(map(str, cells))))
+    rows.sort(key=lambda row: row[0])
+    lines = [",".join(CAMPAIGN_CSV_COLUMNS), *(line for _, line in rows)]
+    return "\n".join(lines) + "\n"

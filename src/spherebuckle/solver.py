@@ -43,7 +43,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count
 from math import ceil
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError, qr, svd
@@ -62,6 +62,10 @@ __all__ = [
 
 # Cells of the grid eigenpairs are sampled on.
 PAIR_CELLS = 512
+# solve_cap's default refinement budget. convergence_table tabulates at most
+# the MAX_REFINEMENTS + 1 steps that budget can reach: each step grows the
+# largest basis by half, so a deeper table only asks for more memory.
+MAX_REFINEMENTS = 8
 # Candidates a mode's first basis is sized for; later steps size it from
 # the values the mode kept, so at large k no mode starts at the
 # ceil(k / mult) values it could hold but does not.
@@ -133,7 +137,7 @@ def solve_cap(
     domain: CapDomain,
     k: int,
     N0: int = 128,
-    max_refinements: int = 8,
+    max_refinements: int = MAX_REFINEMENTS,
     rel_tol: float = 1e-6,
 ) -> tuple[Spectrum, list[EigenPair]]:
     """Lowest k buckling eigenvalues of a clamped cap, refinement-controlled.
@@ -145,10 +149,9 @@ def solve_cap(
     and a mode that kept w values grows to at least 2 w + 16.
 
     meta: "N" is the largest basis of the final step, "mode_cutoff" the
-    first azimuthal mode that closed the sweep, "order" None per value
-    (there is no grid order), "raw" the reported values. N0 is accepted
-    for compatibility and ignored: it was the initial grid of the retired
-    finite-difference scheme.
+    first azimuthal mode that closed the sweep. N0 is ignored; it stays in
+    the signature only because the benchmark tracer (perfbench/tracer.py)
+    binds it.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
@@ -171,12 +174,7 @@ def solve_cap(
             f"after {max_refinements} refinements (P={P})"
         )
     values = [float(v) for v in top]
-    meta: dict[str, Any] = {
-        "N": P,
-        "mode_cutoff": mode_cutoff,
-        "order": [None] * k,
-        "raw": values,
-    }
+    meta = {"N": P, "mode_cutoff": mode_cutoff}
     spectrum = Spectrum(n=domain.n, values=tuple(values), meta=meta)
     x = (np.arange(PAIR_CELLS) + 0.5) / PAIR_CELLS
     samples = {
@@ -361,11 +359,14 @@ def convergence_table(
 
     Returns one row per step: (largest basis size P, values, relative
     change of each value from the previous step, None on the first row).
+    levels runs from 2 to MAX_REFINEMENTS + 1.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
     if levels < 2:
         raise InvalidInput(f"need at least 2 levels, got {levels}")
+    if levels > MAX_REFINEMENTS + 1:
+        raise InvalidInput(f"need at most {MAX_REFINEMENTS + 1} levels, got {levels}")
     rows: list[tuple[int, list[float], list[float | None]]] = []
     prev = None
     for _, (used, cand, _, _) in zip(range(levels), _ladder(domain, k)):

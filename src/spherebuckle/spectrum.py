@@ -65,10 +65,9 @@ class Spectrum:
 class EigenPair:
     """One radial eigenpair: eigenvalue, azimuthal index, profile samples.
 
-    The profile is f(theta) at the cell centers of a grid (the FD engine's
-    final grid, or the spectral engine's fixed solver.PAIR_CELLS grid),
-    normalized so that grid's discrete Dirichlet form (the B quadratic
-    form of the FD mode system) equals 1.
+    The profile is f(theta) at the cell centers of the fixed
+    solver.PAIR_CELLS-cell grid, normalized so that grid's discrete
+    Dirichlet form (a sampled B quadratic form) equals 1.
     """
 
     value: float

@@ -119,13 +119,16 @@ def test_criterion_02_flat_limit_n3(capsys):
 
 def test_criterion_03_first_eigenvalue_floor(capsys, standard_campaign):
     report, _ = standard_campaign
-    worst = min(
-        (case.lemma21_margin / case.n, case.n, case.theta0)
+    # lambda_1 - n is the slack of each case's one lemma21 check.
+    margins = [
+        (c["slack"], case.n, case.theta0)
         for case in report.cases
-    )
-    ok = all(
-        case.lemma21_margin > -1e-8 * case.n for case in report.cases
-    ) and len(report.cases) == 18
+        for c in case.checks
+        if c["inequality_id"] == "lemma21"
+    ]
+    worst = min((m / n, n, t) for m, n, t in margins)
+    ok = all(m > -1e-8 * n for m, n, _ in margins)
+    ok = ok and len(margins) == len(report.cases) == 18
     _verdict(
         capsys, 3, "first eigenvalue >= dimension",
         ok,

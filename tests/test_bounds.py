@@ -19,9 +19,7 @@ from spherebuckle.bounds import (
     default_delta_grid,
     dominance_gap,
     optimal_delta,
-    report_to_csv_rows,
     wangxia_rhs,
-    CSV_COLUMNS,
 )
 from spherebuckle.errors import (
     AllGapsZero,
@@ -365,7 +363,7 @@ class TestRecordsAndReport:
             expect.append(CheckRecord.make("dominance", new, wx, delta=d))
         assert list(rep.checks) == expect
 
-    def test_build_report_ids_and_csv(self):
+    def test_build_report_ids(self):
         s = spec(2, 2.0, 6.0)
         rep = build_report(s, 1, lambda_next=6.0, theta0=1.0, meta={"N": 64})
         ids = {c.inequality_id for c in rep.checks}
@@ -382,9 +380,3 @@ class TestRecordsAndReport:
         assert rep.delta_star == 0.5
         wx = [c for c in rep.checks if c.inequality_id == "wx13"]
         assert len(wx) == 50 and all(c.delta is not None for c in wx)
-        rows = report_to_csv_rows(rep)
-        assert len(rows) == len(rep.checks)
-        for row in rows:
-            assert tuple(row.keys()) == CSV_COLUMNS
-        base = [r for r in rows if r["inequality_id"] == "upper16"][0]
-        assert base["delta"] == "" and base["meta_N"] == 64

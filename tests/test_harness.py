@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherebuckle import cli
+from spherebuckle import cli, solver
 from spherebuckle.bounds import CheckRecord
 from spherebuckle.errors import ConfigError
 from spherebuckle.harness import (
@@ -97,7 +97,7 @@ class TestConfig:
                 "dims": [3],
                 "apertures": [0.5, 1.5],
                 "k_max": 4,
-                "grid": {"N0": 64, "max_refinements": 5, "rel_tol": 1e-5},
+                "grid": {"max_refinements": 5, "rel_tol": 1e-5},
                 "delta_grid": {"min": 0.1, "max": 10.0, "points": 7},
                 "rel_slack_tol": 1e-7,
                 "output": {"path": "r.json", "format": "json"},
@@ -105,7 +105,6 @@ class TestConfig:
         )
         assert cfg.dims == (3,)
         assert cfg.apertures == (0.5, 1.5)
-        assert cfg.N0 == 64
         assert cfg.max_refinements == 5
         assert cfg.grid_rel_tol == 1e-5
         assert cfg.delta_points == 7
@@ -118,7 +117,13 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"grid": {"N": 64}}, {"delta_grid": {"pts": 3}}, {"output": {"fmt": "csv"}}],
+        [
+            {"grid": {"N": 64}},
+            {"delta_grid": {"pts": 3}},
+            {"output": {"fmt": "csv"}},
+            # The retired finite-difference engine's initial grid.
+            {"grid": {"N0": 128}},
+        ],
     )
     def test_unknown_section_keys_rejected(self, doc):
         # A typo inside a section must not silently fall back to a default.
@@ -143,7 +148,7 @@ class TestConfig:
             {"apertures": ["1.0"]},
             {"apertures": 1.0},
             {"apertures": [10**400]},
-            {"grid": {"N0": 64.9}},
+            {"grid": {"max_refinements": 4.0}},
             {"grid": {"max_refinements": False}},
             {"grid": {"rel_tol": "1e-6"}},
             {"grid": [64]},
@@ -168,7 +173,6 @@ class TestConfig:
             return
         for name, kind in (
             ("k_max", int),
-            ("N0", int),
             ("max_refinements", int),
             ("delta_points", int),
             ("grid_rel_tol", float),
@@ -220,7 +224,7 @@ class TestRunCampaign:
 
     def test_case_count_is_grid_size(self):
         cfg = CampaignConfig(
-            dims=(2, 3), apertures=(0.8, 1.2), k_max=2, N0=64, max_refinements=4
+            dims=(2, 3), apertures=(0.8, 1.2), k_max=2, max_refinements=4
         )
         rep = run_campaign(cfg)
         assert len(rep.cases) == 4
@@ -233,8 +237,10 @@ class TestRunCampaign:
 
     def test_lemma_margin_positive(self, mini_report):
         case = mini_report.cases[0]
-        assert case.lemma21_margin is not None
-        assert case.lemma21_margin > 0.0
+        lemma = [c for c in case.checks if c["inequality_id"] == "lemma21"]
+        assert len(lemma) == 1
+        assert lemma[0]["slack"] == case.eigenvalues[0] - case.n
+        assert lemma[0]["slack"] > 0.0
 
     def test_dominance_minima_positive(self, mini_report):
         case = mini_report.cases[0]
@@ -259,7 +265,6 @@ class TestRunCampaign:
             dims=(2,),
             apertures=(3.14,),
             k_max=2,
-            N0=16,
             max_refinements=1,
             grid_rel_tol=1e-14,
         )
@@ -322,7 +327,15 @@ class TestSerialization:
     def test_csv_schema_and_order(self, mini_report):
         text = report_to_csv(mini_report)
         lines = text.splitlines()
+        assert CAMPAIGN_CSV_COLUMNS == (
+            "n", "theta0", "k", "inequality_id", "lhs", "rhs", "slack", "holds", "delta",
+            "meta_N",
+        )
         assert lines[0] == ",".join(CAMPAIGN_CSV_COLUMNS)
+        assert {len(line.split(",")) for line in lines} == {10}
+        # Scalar checks leave delta empty; meta_N is the case's basis size.
+        upper = [line.split(",") for line in lines if ",upper16," in line][0]
+        assert upper[8] == "" and upper[9] == str(mini_report.cases[0].meta["N"])
         # The case-level row comes first (empty k).
         assert lines[1].split(",")[2:4] == ["", "lemma21"]
         # Per-k rows carry k and are grouped in ascending k.
@@ -350,13 +363,26 @@ class TestSerialization:
         assert case["bounds"][0]["upper_next"] > case["eigenvalues"][1]
         assert doc["config"]["k_max"] == 3
 
+    def test_json_keys(self, mini_report):
+        # delta* lives in each bounds entry and lambda_1 - n in the lemma21
+        # check, each written once.
+        doc = json.loads(report_to_json(mini_report, timestamp=False))
+        assert doc["config"]["grid"] == {"max_refinements": 8, "rel_tol": 1e-6}
+        case = doc["cases"][0]
+        assert list(case) == [
+            "n", "theta0", "eigenvalues", "meta", "bounds", "dominance_min", "checks",
+            "error", "error_type",
+        ]
+        assert set(case["meta"]) == {"N", "mode_cutoff"}
+        assert all("delta_star" in b for b in case["bounds"])
+
 
 def _write_mini_config(tmp_path, **overrides):
     doc = {
         "dims": [2],
         "apertures": [1.0],
         "k_max": 3,
-        "grid": {"N0": 128, "max_refinements": 8, "rel_tol": 1e-6},
+        "grid": {"max_refinements": 8, "rel_tol": 1e-6},
     }
     doc.update(overrides)
     path = tmp_path / "campaign.json"
@@ -382,7 +408,7 @@ _config_documents = st.fixed_dictionaries(
             _config_values,
             st.fixed_dictionaries(
                 {},
-                optional={k: _config_values for k in ("N0", "max_refinements", "rel_tol")},
+                optional={k: _config_values for k in ("max_refinements", "rel_tol")},
             ),
         ),
         "delta_grid": st.one_of(
@@ -458,11 +484,10 @@ class TestCli:
     def test_unknown_subcommand_exits_4(self, capsys):
         assert cli.main(["frobnicate"]) == 4
 
-    def test_non_integer_grid_exits_4(self, capsys):
+    def test_grid_flag_exits_4(self, capsys):
+        # --grid was the retired finite-difference engine's initial grid.
         assert (
-            cli.main(
-                ["solve", "--n", "2", "--theta0", "1.0", "--k", "1", "--grid", "soon"]
-            )
+            cli.main(["solve", "--n", "2", "--theta0", "1.0", "--k", "1", "--grid", "128"])
             == 4
         )
 
@@ -658,7 +683,7 @@ class TestCli:
         assert "cannot write" in capsys.readouterr().err
 
     def test_solve_unwritable_dump_file_writes_nothing(self, tmp_path, capsys):
-        # The spectrum is written before the dump; a failed dump removes it.
+        # Both destinations are opened before either is written.
         out = tmp_path / "q.json"
         code = cli.main(
             [
@@ -669,7 +694,43 @@ class TestCli:
             ]
         )
         assert code == 4
-        assert not out.exists()
+        assert "wrote" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_solve_unwritable_out_with_dump_writes_nothing(self, tmp_path, capsys):
+        prof = tmp_path / "q.csv"
+        code = cli.main(
+            [
+                "solve", "--n", "2", "--theta0", "1.0", "--k", "2",
+                "--out", str(tmp_path / "missing" / "q.json"),
+                "--dump-m", "0", "--dump-index", "0", "--dump-file", str(prof),
+            ]
+        )
+        assert code == 4
+        assert "wrote" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_solve_failed_dump_keeps_existing_out(self, tmp_path, capsys):
+        # Destinations open for appending, so a failed command truncates nothing.
+        out = tmp_path / "q.json"
+        out.write_text("earlier\n")
+        code = cli.main(
+            [
+                "solve", "--n", "2", "--theta0", "1.0", "--k", "2",
+                "--out", str(out),
+                "--dump-m", "0", "--dump-index", "0",
+                "--dump-file", str(tmp_path / "missing" / "q.csv"),
+            ]
+        )
+        assert code == 4
+        assert out.read_text() == "earlier\n"
+
+    def test_solve_overwrites_existing_out(self, tmp_path, capsys):
+        out = tmp_path / "q.json"
+        out.write_text("x" * 10000)
+        argv = ["solve", "--n", "2", "--theta0", "1.0", "--k", "2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["n"] == 2
 
     def test_verify_unwritable_output_path_exits_4(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
@@ -686,7 +747,7 @@ class TestCli:
             tmp_path,
             apertures=[3.14],
             k_max=2,
-            grid={"N0": 16, "max_refinements": 1, "rel_tol": 1e-14},
+            grid={"max_refinements": 1, "rel_tol": 1e-14},
         )
         out = tmp_path / "report.json"
         assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 3
@@ -764,6 +825,24 @@ class TestCli:
         )
         assert code == 4
         assert "at least 2 levels" in capsys.readouterr().err
+
+    def test_convergence_too_many_levels_exits_4(self, capsys, monkeypatch):
+        # solve_cap stops within 9 ladder steps; a deeper table is refused
+        # before any mode is solved.
+        def no_solve(*args):
+            raise AssertionError("a mode was solved")
+
+        monkeypatch.setattr(solver, "_galerkin_mode", no_solve)
+        code = cli.main(
+            ["convergence", "--n", "2", "--theta0", "1.0", "--k", "2", "--levels", "10"]
+        )
+        assert code == 4
+        assert "at most 9 levels" in capsys.readouterr().err
+
+    def test_verify_grid_N0_exits_4(self, tmp_path, capsys):
+        cfg = _write_mini_config(tmp_path, grid={"N0": 128})
+        assert cli.main(["verify", "--config", cfg]) == 4
+        assert "unknown grid keys: ['N0']" in capsys.readouterr().err
 
     def test_verify_mistyped_config_exits_4(self, tmp_path, capsys):
         cfg = _write_mini_config(tmp_path, k_max=2.9)
