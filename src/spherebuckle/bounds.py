@@ -32,7 +32,7 @@ At n = 2 both correction terms vanish and w = p = lam exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import exp, fsum, isfinite, log, sqrt
 from typing import Any, Iterable, Sequence
 
@@ -116,7 +116,6 @@ class BoundReport:
     checks: tuple[CheckRecord, ...]
     delta_star: float | None = None
     theta0: float | None = None
-    meta: dict[str, Any] = field(default_factory=dict)
 
 
 def bound_terms(lam: float, n: int) -> BoundTerms:
@@ -367,7 +366,6 @@ def build_report(
     delta_grid: Sequence[float] | None = None,
     rel_tol: float = DEFAULT_REL_TOL,
     theta0: float | None = None,
-    meta: dict[str, Any] | None = None,
 ) -> BoundReport:
     """Evaluate every bound and check for one (spectrum, k).
 
@@ -404,7 +402,6 @@ def build_report(
         checks=tuple(checks),
         delta_star=delta_star,
         theta0=theta0,
-        meta=dict(meta or {}),
     )
 
 
@@ -432,7 +429,6 @@ def report_to_json(report: BoundReport) -> str:
         "theta0": report.theta0,
         **_bounds_doc(report),
         "checks": [_check_doc(c) for c in report.checks],
-        "meta": report.meta,
     }
     return _dumps(doc)
 

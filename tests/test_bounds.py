@@ -365,7 +365,7 @@ class TestRecordsAndReport:
 
     def test_build_report_ids(self):
         s = spec(2, 2.0, 6.0)
-        rep = build_report(s, 1, lambda_next=6.0, theta0=1.0, meta={"N": 64})
+        rep = build_report(s, 1, lambda_next=6.0, theta0=1.0)
         ids = {c.inequality_id for c in rep.checks}
         assert ids == {
             "thm14",

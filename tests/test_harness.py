@@ -566,6 +566,19 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["upper_next"] == pytest.approx(6.0, abs=1e-12)
 
+    def test_bounds_json_keys(self, tmp_path, capsys):
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps({"n": 2, "eigenvalues": [2.0, 6.0]}))
+        assert cli.main(["bounds", "--spectrum", str(spath), "--k", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == [
+            "n", "theta0", "k", "S", "T", "upper_next", "gap_upper", "lower_prev",
+            "delta_star", "checks",
+        ]
+        assert list(doc["checks"][0]) == [
+            "inequality_id", "lhs", "rhs", "slack", "holds", "delta",
+        ]
+
     def test_bounds_violation_exits_2(self, tmp_path, capsys):
         spath = tmp_path / "s.json"
         spath.write_text(json.dumps({"n": 2, "eigenvalues": [2.0]}))

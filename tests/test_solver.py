@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -267,6 +268,35 @@ class TestSolveCap:
         assert by_P[spectrum.meta["N"]] == list(spectrum.values)
 
 
+GAUSS_SIZES = [1, 2, 3, 62, 63, 156, 571]
+
+
+class TestGaussLegendre:
+    """The Newton-built quadrature rule behind assemble_mode."""
+
+    @pytest.mark.parametrize("Q", GAUSS_SIZES)
+    def test_matches_40_digit_rule(self, Q):
+        # A node x and its mirror 1 - x are one computed root, so each is
+        # held to the ulp of the larger of the two.
+        x, w = solver._gauss_legendre(Q)
+        ref_x, ref_w = oracles.gauss_legendre(Q)
+        assert len(x) == len(w) == Q
+        for xi, wi, rx, rw in zip(x, w, ref_x, ref_w):
+            ulp = np.spacing(max(float(rx), 1.0 - float(rx)))
+            assert abs(mpmath.mpf(float(xi)) - rx) <= 2 * ulp
+            assert abs(mpmath.mpf(float(wi)) - rw) <= 1e-10 * rw
+
+    @pytest.mark.parametrize("Q", GAUSS_SIZES)
+    def test_exact_to_degree_2Q_minus_1(self, Q):
+        x, w = solver._gauss_legendre(Q)
+        assert not x.flags.writeable and not w.flags.writeable
+        assert np.all(np.diff(x) > 0) and x[0] > 0 and x[-1] < 1
+        assert abs(w.sum() - 1.0) <= 1e-14
+        d = np.arange(2 * Q)
+        moments = (x[None, :] ** d[:, None]) @ w
+        assert np.abs(moments - 1.0 / (d + 1)).max() <= 1e-14
+
+
 class TestSpectralEngine:
     """The Jacobi-Galerkin engine behind solve_cap."""
 
@@ -292,6 +322,13 @@ class TestSpectralEngine:
         assert np.abs(f2 - (fp - 2 * f + fm) / h**2).max() <= 1e-5 * np.abs(f2).max()
         rim, rim1, _ = solver._jacobi_basis(8, m, 3, np.array([1.0]), theta0)
         assert np.abs(rim).max() == 0.0 and np.abs(rim1).max() == 0.0
+
+    @pytest.mark.parametrize("P,m,n", [(1, 0, 2), (2, 3, 5), (9, 1, 2), (60, 0, 3), (150, 7, 50)])
+    def test_basis_values_alone_bit_identical(self, P, m, n):
+        # The pair samples take f without derivative rows; f must not move.
+        x = (np.arange(512) + 0.5) / 512
+        (f,) = solver._jacobi_basis(P, m, n, x, 1.3, order=0)
+        assert np.array_equal(f, solver._jacobi_basis(P, m, n, x, 1.3)[0])
 
     def test_coefficients_b_orthonormal(self):
         domain, m, P = CapDomain(3, 2.0), 2, 30
