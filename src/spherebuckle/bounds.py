@@ -43,6 +43,7 @@ from .errors import (
     NegativeDiscriminant,
     OrderViolation,
     SingularTerm,
+    Unsorted,
 )
 from .spectrum import Spectrum, _dumps
 
@@ -140,10 +141,18 @@ def _total(terms: Iterable[float]) -> float:
 
 
 def _coefficients(s: Spectrum, k: int) -> tuple[list[BoundTerms], float, float]:
-    """Terms of the first k eigenvalues and the averaged coefficients S, T."""
+    """Terms of the first k eigenvalues and the averaged coefficients S, T.
+
+    Every public bound function reaches this, so it holds the guards the
+    formulas rest on: n >= 2 and nondecreasing first k values.
+    """
+    if s.n < 2:
+        raise InvalidInput(f"ambient dimension must be >= 2, got {s.n!r}")
     if not 1 <= k <= len(s.values):
         raise InvalidInput(f"need 1 <= k <= {len(s.values)}, got k={k}")
     lams = s.values[:k]
+    if any(b < a for a, b in zip(lams, lams[1:])):
+        raise Unsorted(f"first {k} values not nondecreasing: {lams}")
     t = [bound_terms(lam, s.n) for lam in lams]
     # S and T cannot overflow once their sums are finite: sum lam and sum lam^2
     # are far below sum w p ~ lam^2 and sum lam w p ~ lam^3.
@@ -235,7 +244,7 @@ class _Sums:
 
 
 def _sums(s: Spectrum, k: int, lambda_next: float | None) -> _Sums:
-    """Validate (k, then terms, then ordering) and evaluate every sum once.
+    """Validate (n, k and sortedness, then terms, then lambda_next) and evaluate every sum once.
 
     A lambda_next of None takes the quadratic upper bound as the candidate.
     """

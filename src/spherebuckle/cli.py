@@ -124,21 +124,33 @@ def build_parser() -> argparse.ArgumentParser:
 def _open_all(paths: list[str]) -> list[IO[str]]:
     """Open every path for writing, or none of them.
 
-    Files open for appending, so an open truncates nothing. If one cannot
-    be opened, the others are closed, the files this call created are
-    removed, and the error exits 4.
+    Files open for appending, so an open truncates nothing. Two paths that
+    reach one regular file (by name, `./`, a link) are refused, by the
+    (device, inode) of the opened handles: the second write would truncate
+    the first. If a path cannot be opened or repeats a file, the others
+    are closed, the files this call created are removed, and the error
+    exits 4.
     """
     opened: list[tuple[IO[str], str, bool]] = []
-    for path in paths:
-        created = not os.path.exists(path)
-        try:
-            opened.append((open(path, "a", encoding="utf-8"), path, created))
-        except OSError as exc:
-            for fh, done, new in opened:
-                fh.close()
-                if new:
-                    os.remove(done)
-            raise InvalidInput(f"cannot write {path!r}: {exc}") from exc
+    seen: dict[tuple[int, int], str] = {}
+    try:
+        for path in paths:
+            created = not os.path.exists(path)
+            try:
+                opened.append((open(path, "a", encoding="utf-8"), path, created))
+            except OSError as exc:
+                raise InvalidInput(f"cannot write {path!r}: {exc}") from exc
+            st = os.fstat(opened[-1][0].fileno())
+            key = (st.st_dev, st.st_ino)
+            if stat.S_ISREG(st.st_mode) and key in seen:
+                raise InvalidInput(f"{seen[key]!r} and {path!r} are one file")
+            seen[key] = path
+    except InvalidInput:
+        for fh, done, new in opened:
+            fh.close()
+            if new:
+                os.remove(os.path.realpath(done))  # what a dangling link created
+        raise
     return [fh for fh, _, _ in opened]
 
 

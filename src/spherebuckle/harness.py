@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -306,12 +307,15 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignReport:
     """Run every (n, theta0) case and assemble the ordered report.
 
     Cases are independent; with jobs > 1 they run in separate processes
-    and are merged in the same deterministic order as a serial run. Solver
-    failures are recorded per case without stopping the campaign.
+    and are merged in the same deterministic order as a serial run. At most
+    one worker runs per core and per case, and a campaign that leaves one
+    worker runs serially. Solver failures are recorded per case without
+    stopping the campaign.
     """
     cells = [(n, t) for n in sorted(cfg.dims) for t in sorted(cfg.apertures)]
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_case_args, [(cfg, n, t) for n, t in cells]))
     else:
         results = [run_case(cfg, n, t) for n, t in cells]

@@ -28,8 +28,9 @@ values of K R^{-1}, and R^{-1} times its right singular vectors are
 B-orthonormal coefficients. Each mode's basis size P grows by half until
 the top k values settle, and to at least 2 w + 16 for the w values the
 mode kept; Ritz values are upper bounds, so the finest values are reported
-as they are. `_ladder` yields these steps; `solve_cap` stops on them and
-`convergence_table` tabulates them. The solver needs numpy alone.
+as they are. `_ladder` yields these steps, each with its change from the
+one before; `solve_cap` stops on them and `convergence_table` tabulates
+them. The solver needs numpy alone.
 
 The Gauss-Legendre rule on Q = 2P + 60 nodes (`_gauss_legendre`) comes
 from Newton's method on the three-term Legendre recurrence, started at
@@ -40,20 +41,21 @@ its nodes are within 2 ulp of max(x, 1 - x) and its weights within 1e-11
 relative. `_jacobi_basis` runs the basis recurrence with its
 coefficients formed once, as arrays over j.
 
-The azimuthal sweep, `_sweep`, solves modes m = 0, 1, ... for their
-lowest ceil(k / mult) values until a mode opens above the k-th merged
-candidate. The pair builder, `_pairs`, samples each eigenfunction at the
-centers of a fixed PAIR_CELLS-cell grid (values only, no derivative
-rows) and normalizes it so that the grid's discrete Dirichlet form
-equals 1.
+The azimuthal sweep, `_sweep`, runs one Galerkin solve per mode m = 0,
+1, ... for its lowest ceil(k / mult) values until a mode opens above the
+k-th merged candidate. The pair builder, `_pairs`, samples each swept
+mode's coefficients once at the centers of a fixed PAIR_CELLS-cell grid
+(values only, no derivative rows), normalizes each distinct (m, j)
+profile so that the grid's discrete Dirichlet form equals 1, and hands
+the one resulting pair to all mult copies of its value.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
+from itertools import count, islice
 from math import ceil
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError, qr, svd
@@ -79,6 +81,8 @@ MAX_REFINEMENTS = 8
 # the values the mode kept, so at large k no mode starts at the
 # ceil(k / mult) values it could hold but does not.
 FIRST_WIDTH = 16
+# Merged (value, m, index) candidates, sorted, one entry per multiplicity copy.
+_Cand = list[tuple[float, int, int]]
 
 
 def angular_eigenvalue(m: int, n: int) -> float:
@@ -109,34 +113,38 @@ def _closing_mode(lowest: Sequence[float], kth: float) -> int | None:
 
 
 def _sweep(
-    domain: CapDomain,
-    k: int,
-    solve: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-) -> tuple[list[tuple[float, int, int]], dict[int, np.ndarray], int]:
+    domain: CapDomain, k: int, sizes: dict[int, int], step: int
+) -> tuple[dict[int, int], _Cand, dict[int, np.ndarray], int]:
     """Solve modes m = 0, 1, ... until the k smallest merged values are safe.
 
-    solve(m, cap) returns mode m's lowest values, at most cap = ceil(k /
-    mult), ascending, with one column per value. Each value enters the
-    candidates mult times, and the sweep stops once a mode opens above the
-    current k-th candidate (`_closing_mode`). Returns (the k smallest
-    (value, m, index) candidates sorted, the columns of each mode they
-    use, mode cutoff).
+    Mode m is solved (`_galerkin_mode`) at sizes[m] basis functions, or
+    at `_basis_size(cap, step)` if the sweep has not reached it before,
+    and keeps its lowest cap = ceil(k / mult) values with one column each.
+    Each value enters the candidates mult times, and the sweep stops once
+    a mode opens above the current k-th candidate (`_closing_mode`).
+    Returns (the basis size of every mode solved, the k smallest (value,
+    m, index) candidates sorted, the columns of each mode they use, mode
+    cutoff).
     """
-    cand: list[tuple[float, int, int]] = []
+    used: dict[int, int] = {}
+    cand: _Cand = []
     cols: dict[int, np.ndarray] = {}
     lowest: list[float] = []
     while True:
         kth = cand[k - 1][0] if len(cand) >= k else np.inf
         cutoff = _closing_mode(lowest, kth)
         if cutoff is not None:
-            return cand, {m: cols[m] for m in sorted({m for _, m, _ in cand})}, cutoff
+            return used, cand, {m: cols[m] for m in sorted({m for _, m, _ in cand})}, cutoff
         m = len(lowest)
         if m > 64:
             raise NoConvergence("azimuthal sweep did not close by m = 64")
         mult = harmonic_multiplicity(domain.n, m)
-        vals, cols[m] = solve(m, ceil(k / mult))
+        cap = ceil(k / mult)
+        used[m] = sizes.get(m) or _basis_size(cap, step)
+        vals, C = _galerkin_mode(domain, m, used[m])
+        cols[m] = C[:, :cap]
         lowest.append(float(vals[0]))
-        for j, v in enumerate(vals):
+        for j, v in enumerate(vals[:cap]):
             cand.extend([(float(v), m, j)] * min(mult, k))
         cand.sort()
         del cand[k:]
@@ -166,35 +174,17 @@ def solve_cap(
         raise InvalidInput(f"k must be >= 1, got {k}")
     if max_refinements < 1:
         raise InvalidInput(f"max_refinements must be >= 1, got {max_refinements}")
-    prev = None
-    for _, (used, cand, coeffs, mode_cutoff) in zip(
-        range(max_refinements + 1), _ladder(domain, k)
-    ):
-        P = max(used.values())
-        top = np.array([c[0] for c in cand])
-        if prev is not None:
-            change = _rel_change(prev, top)
-            if change < rel_tol:
-                break
-        prev = top
-    else:
-        raise NoConvergence(
-            f"top-{k} values still changing by {change:.2e} (tolerance {rel_tol:.1e}) "
-            f"after {max_refinements} refinements (P={P})"
-        )
-    values = [float(v) for v in top]
+    for step, (P, top, change, cand, coeffs, mode_cutoff) in enumerate(_ladder(domain, k)):
+        if change is not None and change.max() < rel_tol:
+            break
+        if step == max_refinements:
+            raise NoConvergence(
+                f"top-{k} values still changing by {change.max():.2e} (tolerance "
+                f"{rel_tol:.1e}) after {max_refinements} refinements (P={P})"
+            )
     meta = {"N": P, "mode_cutoff": mode_cutoff}
-    spectrum = Spectrum(n=domain.n, values=tuple(values), meta=meta)
-    x = (np.arange(PAIR_CELLS) + 0.5) / PAIR_CELLS
-    samples = {
-        m: _jacobi_basis(len(C), m, domain.n, x, domain.theta0, order=0)[0].T @ C
-        for m, C in coeffs.items()
-    }
-    return spectrum, _pairs(domain, cand, samples, values)
-
-
-def _rel_change(prev: np.ndarray, cur: np.ndarray) -> float:
-    return float(np.max(np.abs(cur - prev) / np.abs(cur)))
+    spectrum = Spectrum(n=domain.n, values=tuple(top.tolist()), meta=meta)
+    return spectrum, _pairs(domain, cand, coeffs)
 
 
 def _jacobi_basis(
@@ -335,61 +325,61 @@ def _basis_size(cap: int, step: int) -> int:
 
 def _ladder(
     domain: CapDomain, k: int
-) -> Iterator[tuple[dict[int, int], list[tuple[float, int, int]], dict[int, np.ndarray], int]]:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, _Cand, dict[int, np.ndarray], int]]:
     """The steps of the basis ladder, without end.
 
-    Each step sweeps the modes (`_sweep`) and yields (the basis size of
-    every mode it solved, the k smallest (value, m, index) candidates, the
-    B-orthonormal coefficients of each mode they use, mode cutoff). A mode
-    new to the sweep starts at `_basis_size`; after a step each mode grows
-    by half, and to at least 2 w + 16 functions for the w values it kept
-    (cand is sorted, so a mode's last index is its largest): a step that
-    agrees with the one before holds each kept value at that margin.
+    Each step sweeps the modes (`_sweep`) and yields (the largest basis
+    size it used, the top k values, their relative change from the
+    previous step or None on the first, the k smallest (value, m, index)
+    candidates, the B-orthonormal coefficients of each mode they use, mode
+    cutoff). A mode new to the sweep starts at `_basis_size`; after a step
+    each mode grows by half, and to at least 2 w + 16 functions for the w
+    values it kept (cand is sorted, so a mode's last index is its
+    largest): a step that agrees with the one before holds each kept value
+    at that margin.
     """
     sizes: dict[int, int] = {}
+    prev = None
     for step in count():
-        used: dict[int, int] = {}
-
-        def solve(m: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-            used[m] = sizes.get(m) or _basis_size(cap, step)
-            vals, C = _galerkin_mode(domain, m, used[m])
-            return vals[:cap], C[:, :cap]
-
-        cand, coeffs, mode_cutoff = _sweep(domain, k, solve)
-        yield used, cand, coeffs, mode_cutoff
+        used, cand, coeffs, mode_cutoff = _sweep(domain, k, sizes, step)
+        top = np.array([c[0] for c in cand])
+        change = None if prev is None else np.abs(top - prev) / np.abs(top)
+        yield max(used.values()), top, change, cand, coeffs, mode_cutoff
+        prev = top
         width = {m: j + 1 for _, m, j in cand}
         sizes = {m: max((3 * p + 1) // 2, 2 * width.get(m, 0) + 16) for m, p in used.items()}
 
 
-def _pairs(
-    domain: CapDomain,
-    cand: Sequence[tuple[float, int, int]],
-    samples: dict[int, np.ndarray],
-    values: Sequence[float],
-) -> list[EigenPair]:
-    """Eigenpairs from cell-center samples on an N-cell grid, one column per index.
+def _pairs(domain: CapDomain, cand: _Cand, coeffs: dict[int, np.ndarray]) -> list[EigenPair]:
+    """One eigenpair per candidate, sampled at the cell centers of a PAIR_CELLS-cell grid.
 
-    Candidate (value, m, j) is column j of samples[m], reported with the
-    value in the same slot of `values`. Each profile is normalized so the
-    grid's discrete Dirichlet form (face gradients, the rim face sloping
-    to zero, and the mu f^2 / sin^2 mass at the cells) equals 1, with its
-    largest entry positive.
+    Each mode's coefficients are sampled once. Candidate (value, m, j) is
+    column j of mode m's samples, normalized so the grid's discrete
+    Dirichlet form (face gradients, the rim face sloping to zero, and the
+    mu f^2 / sin^2 mass at the cells) equals 1, with its largest entry
+    positive. The pair is built once per distinct (m, j); the mult copies
+    of its value share it.
     """
     n, theta0 = domain.n, domain.theta0
-    N = len(next(iter(samples.values())))
-    theta = theta0 * ((np.arange(N) + 0.5) / N)
-    mass = np.sin(theta) ** (n - 3) * (theta0 / N)  # times mu: sin^{n-1} h / sin^2
+    x = (np.arange(PAIR_CELLS) + 0.5) / PAIR_CELLS
+    theta = theta0 * x
+    mass = np.sin(theta) ** (n - 3) * (theta0 / PAIR_CELLS)  # times mu: sin^{n-1} h / sin^2
     grid = tuple(theta.tolist())
-    pairs: list[EigenPair] = []
-    for value, (_, m, j) in zip(values, cand):
+    samples = {
+        m: _jacobi_basis(len(C), m, n, x, theta0, order=0)[0].T @ C for m, C in coeffs.items()
+    }
+    built: dict[tuple[int, int], EigenPair] = {}
+    for value, m, j in cand:
+        if (m, j) in built:
+            continue
         f = samples[m][:, j]
         form = np.sum(_face_energy(f, n, theta0)[1])
         form += angular_eigenvalue(m, n) * np.sum(mass * f * f)
         f = f / np.sqrt(float(form))
         if f[int(np.argmax(np.abs(f)))] < 0.0:
             f = -f
-        pairs.append(EigenPair(value=float(value), m=m, theta=grid, profile=tuple(f.tolist())))
-    return pairs
+        built[m, j] = EigenPair(value=value, m=m, theta=grid, profile=tuple(f.tolist()))
+    return [built[m, j] for _, m, j in cand]
 
 
 def convergence_table(
@@ -409,14 +399,10 @@ def convergence_table(
         raise InvalidInput(f"need at least 2 levels, got {levels}")
     if levels > MAX_REFINEMENTS + 1:
         raise InvalidInput(f"need at most {MAX_REFINEMENTS + 1} levels, got {levels}")
-    rows: list[tuple[int, list[float], list[float | None]]] = []
-    prev = None
-    for _, (used, cand, _, _) in zip(range(levels), _ladder(domain, k)):
-        top = np.array([c[0] for c in cand])
-        change = [None] * k if prev is None else (np.abs(top - prev) / np.abs(top)).tolist()
-        rows.append((max(used.values()), top.tolist(), change))
-        prev = top
-    return rows
+    return [
+        (P, top.tolist(), [None] * k if change is None else change.tolist())
+        for P, top, change, *_ in islice(_ladder(domain, k), levels)
+    ]
 
 
 def _face_energy(f: np.ndarray, n: int, theta0: float) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,7 @@ from spherebuckle.errors import (
     NegativeDiscriminant,
     OrderViolation,
     SingularTerm,
+    Unsorted,
 )
 from spherebuckle.spectrum import Spectrum
 
@@ -82,6 +83,29 @@ class TestComputeST:
             compute_S_T(spec(2, 2), 0)
         with pytest.raises(InvalidInput):
             compute_S_T(spec(2, 2), 2)
+
+
+# Every public bound function reaches the same guards, whatever it computes.
+GUARDED = {
+    "build_report": lambda s, k: build_report(s, k, lambda_next=50.0),
+    "check_theorem": lambda s, k: check_theorem(s, k, 50.0),
+    "bound_next": bound_next,
+    "dominance_gap": lambda s, k: dominance_gap(s, k, 50.0, [1.0]),
+}
+
+
+class TestGuards:
+    """Spectra that load_spectrum rejects are rejected by the library too."""
+
+    @pytest.mark.parametrize("name", GUARDED)
+    def test_unsorted_first_k(self, name):
+        with pytest.raises(Unsorted):
+            GUARDED[name](spec(2, 30, 10, 40, 50), 3)
+
+    @pytest.mark.parametrize("name", GUARDED)
+    def test_dimension_below_two(self, name):
+        with pytest.raises(InvalidInput, match="dimension"):
+            GUARDED[name](spec(1, 5, 7), 1)
 
 
 class TestBoundNext:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherebuckle import cli, solver
+from spherebuckle import cli, harness, solver
 from spherebuckle.bounds import CheckRecord
 from spherebuckle.errors import ConfigError
 from spherebuckle.harness import (
@@ -305,6 +305,40 @@ class TestRunCampaign:
         assert list(case.reports) == doc["cases"][0]["bounds"]
         # The first cell is the MINI campaign's only one.
         assert case == mini_report.cases[0]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    def __init__(self, log, max_workers):
+        log.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerCeiling:
+    @pytest.mark.parametrize(
+        "jobs,cores,want",
+        [(1000, 2, 2), (2, 8, 2), (8, 8, 3), (8, 1, None), (8, None, None), (1, 8, None)],
+    )
+    def test_workers_capped_by_cores_and_cases(self, monkeypatch, jobs, cores, want):
+        # No process starts: the pool is replaced by an in-process map.
+        log = []
+        monkeypatch.setattr(
+            harness, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(log, max_workers)
+        )
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+        cfg = CampaignConfig(**{**MINI, "apertures": (1.0, 1.5, 2.0)})
+        report = run_campaign(cfg, jobs=jobs)
+        assert log == ([] if want is None else [want])
+        assert len(report.cases) == 3 and report.summary["case_errors"] == 0
 
 
 class TestStatus:
@@ -737,6 +771,38 @@ class TestCli:
         )
         assert code == 4
         assert out.read_text() == "earlier\n"
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize(
+        "out,dump",
+        [("a.json", "a.json"), ("a.json", "./a.json"), ("a.json", "l.json"), ("l.json", "a.json")],
+    )
+    def test_solve_out_and_dump_file_one_file_exits_4(
+        self, tmp_path, capsys, monkeypatch, out, dump, existing
+    ):
+        # The profile would truncate the spectrum it shares a file with.
+        # l.json links to a.json, dangling while a.json is new.
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "a.json"
+        if existing:
+            target.write_bytes(b"earlier\n")
+        (tmp_path / "l.json").symlink_to(target)
+        code = cli.main(
+            [
+                "solve", "--n", "2", "--theta0", "1.0", "--k", "2",
+                "--out", out,
+                "--dump-m", "0", "--dump-index", "0", "--dump-file", dump,
+            ]
+        )
+        assert code == 4
+        captured = capsys.readouterr()
+        assert "wrote" not in captured.out
+        assert "one file" in captured.err
+        if existing:
+            assert target.read_bytes() == b"earlier\n"
+        # The link stays; a.json stays only if it was there before.
+        want = ["a.json", "l.json"] if existing else ["l.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == want
 
     def test_solve_overwrites_existing_out(self, tmp_path, capsys):
         out = tmp_path / "q.json"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -248,6 +249,24 @@ class TestSolveCap:
         # default refinements. l(l + n - 1) with l = 1 is the limit.
         spectrum, _ = solve_cap(CapDomain(2, 3.14), 3)
         assert spectrum.values[0] == pytest.approx(2.0, rel=1e-4)
+
+    def test_multiplicity_copies_share_one_pair(self):
+        # At n = 50 the top 2000 values are one value each of modes 0-3
+        # (mult(50, 3) = 22050). Each is sampled and normalized once, and
+        # its copies are one object, so the solve holds 4 profiles, not
+        # 2000 (32 MiB traced before pairs were shared).
+        tracemalloc.start()
+        try:
+            spectrum, pairs = solve_cap(CapDomain(50, 1.0), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [p.value for p in pairs] == list(spectrum.values)
+        distinct = {}
+        for p in pairs:
+            assert distinct.setdefault((p.m, p.value), p) is p
+        assert sorted(m for m, _ in distinct) == [0, 1, 2, 3]
+        assert peak < 4 * 2**20
 
     def test_convergence_table_requires_positive_k(self):
         with pytest.raises(InvalidInput):
