@@ -27,10 +27,15 @@ with D = QR after column scaling, the values are the squared singular
 values of K R^{-1}, and R^{-1} times its right singular vectors are
 B-orthonormal coefficients. Each mode's basis size P grows by half until
 the top k values settle, and to at least 2 w + 16 for the w values the
-mode kept; Ritz values are upper bounds, so the finest values are reported
-as they are. `_ladder` yields these steps, each with its change from the
-one before; `solve_cap` stops on them and `convergence_table` tabulates
-them. The solver needs numpy alone.
+mode kept. The basis is hierarchical, so one assembly at P also gives
+the Ritz values of the leading P' functions, P' being the size of the
+step before: each step is checked against its own leading blocks, and
+assembles each mode once. Ritz values are upper bounds in exact
+arithmetic only; at high n the basis is near-dependent, and round-off
+can put a value below the exact one (at (50, 2.5), lambda_1 by 1.27e-9).
+The finest values are reported as they are. `_ladder` yields these
+steps, each with its change from its blocks; `solve_cap` stops on them
+and `convergence_table` tabulates them. The solver needs numpy alone.
 
 The Gauss-Legendre rule on Q = 2P + 60 nodes (`_gauss_legendre`) comes
 from Newton's method on the three-term Legendre recurrence, started at
@@ -55,7 +60,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count, islice
 from math import ceil
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError, qr, svd
@@ -73,11 +78,12 @@ __all__ = [
 
 # Cells of the grid eigenpairs are sampled on.
 PAIR_CELLS = 512
-# solve_cap's default refinement budget. convergence_table tabulates at most
-# the MAX_REFINEMENTS + 1 steps that budget can reach: each step grows the
-# largest basis by half, so a deeper table only asks for more memory.
+# solve_cap's default refinement budget, in ladder steps. convergence_table
+# tabulates at most the first step's block row and the MAX_REFINEMENTS steps
+# that budget can reach: each step grows the largest basis by half, so a
+# deeper table only asks for more memory.
 MAX_REFINEMENTS = 8
-# Candidates a mode's first basis is sized for; later steps size it from
+# Candidates a mode's first block is sized for; later steps size it from
 # the values the mode kept, so at large k no mode starts at the
 # ceil(k / mult) values it could hold but does not.
 FIRST_WIDTH = 16
@@ -113,41 +119,50 @@ def _closing_mode(lowest: Sequence[float], kth: float) -> int | None:
 
 
 def _sweep(
-    domain: CapDomain, k: int, sizes: dict[int, int], step: int
-) -> tuple[dict[int, int], _Cand, dict[int, np.ndarray], int]:
+    domain: CapDomain, k: int, sizes: dict[int, tuple[int, int]], step: int
+) -> tuple[dict[int, tuple[int, int]], _Cand, list[float], dict[int, np.ndarray], int]:
     """Solve modes m = 0, 1, ... until the k smallest merged values are safe.
 
-    Mode m is solved (`_galerkin_mode`) at sizes[m] basis functions, or
-    at `_basis_size(cap, step)` if the sweep has not reached it before,
-    and keeps its lowest cap = ceil(k / mult) values with one column each.
-    Each value enters the candidates mult times, and the sweep stops once
-    a mode opens above the current k-th candidate (`_closing_mode`).
-    Returns (the basis size of every mode solved, the k smallest (value,
-    m, index) candidates sorted, the columns of each mode they use, mode
+    Mode m is solved (`_galerkin_mode`) at sizes[m] = (P, block), or, if
+    the sweep has not reached it before, at P = `_basis_size(cap, step +
+    1)` with block `_basis_size(cap, step)`. It keeps its lowest cap =
+    ceil(k / mult) values with one column each, and as many of its block's
+    values. Each value enters the candidates mult times, and the sweep
+    stops once a mode opens above the current k-th candidate
+    (`_closing_mode`). Returns ((P, block) of every mode solved, the k
+    smallest (value, m, index) candidates sorted, the k smallest block
+    values sorted, the columns of each mode the candidates use, mode
     cutoff).
     """
-    used: dict[int, int] = {}
+    used: dict[int, tuple[int, int]] = {}
     cand: _Cand = []
+    nested: list[float] = []
     cols: dict[int, np.ndarray] = {}
     lowest: list[float] = []
     while True:
         kth = cand[k - 1][0] if len(cand) >= k else np.inf
         cutoff = _closing_mode(lowest, kth)
         if cutoff is not None:
-            return used, cand, {m: cols[m] for m in sorted({m for _, m, _ in cand})}, cutoff
+            coeffs = {m: cols[m] for m in sorted({m for _, m, _ in cand})}
+            return used, cand, nested, coeffs, cutoff
         m = len(lowest)
         if m > 64:
             raise NoConvergence("azimuthal sweep did not close by m = 64")
         mult = harmonic_multiplicity(domain.n, m)
         cap = ceil(k / mult)
-        used[m] = sizes.get(m) or _basis_size(cap, step)
-        vals, C = _galerkin_mode(domain, m, used[m])
+        copies = min(mult, k)
+        used[m] = sizes.get(m) or (_basis_size(cap, step + 1), _basis_size(cap, step))
+        vals, C, inner = _galerkin_mode(domain, m, *used[m])
         cols[m] = C[:, :cap]
         lowest.append(float(vals[0]))
-        for j, v in enumerate(vals[:cap]):
-            cand.extend([(float(v), m, j)] * min(mult, k))
+        for j, v in enumerate(vals[:cap].tolist()):
+            cand.extend([(v, m, j)] * copies)
+        for v in inner[:cap].tolist():
+            nested.extend([v] * copies)
         cand.sort()
         del cand[k:]
+        nested.sort()
+        del nested[k:]
 
 
 def solve_cap(
@@ -160,10 +175,13 @@ def solve_cap(
     """Lowest k buckling eigenvalues of a clamped cap, refinement-controlled.
 
     Each mode's Jacobi basis grows by half per step until the k tracked
-    values move by less than rel_tol relative, within max_refinements
-    steps; the finest step's Ritz values are reported. A mode new to the
-    sweep starts at P = 2 min(ceil(k / mult), FIRST_WIDTH) + 16 functions,
-    and a mode that kept w values grows to at least 2 w + 16.
+    values differ by less than rel_tol relative from those of the leading
+    blocks, the sizes of the step before, and every mode that kept w
+    values has at least 2 w + 16 functions, within max_refinements steps;
+    the finest step's Ritz values are reported. A mode new to the sweep
+    is checked at P' = 2 min(ceil(k / mult), FIRST_WIDTH) + 16 functions
+    inside a basis half as large again, and a mode that kept w values
+    grows to at least 2 w + 16.
 
     meta: "N" is the largest basis of the final step, "mode_cutoff" the
     first azimuthal mode that closed the sweep. N0 is ignored; it stays in
@@ -174,17 +192,18 @@ def solve_cap(
         raise InvalidInput(f"k must be >= 1, got {k}")
     if max_refinements < 1:
         raise InvalidInput(f"max_refinements must be >= 1, got {max_refinements}")
-    for step, (P, top, change, cand, coeffs, mode_cutoff) in enumerate(_ladder(domain, k)):
-        if change is not None and change.max() < rel_tol:
+    for step, s in enumerate(_ladder(domain, k), 1):
+        if s.margin and s.change.max() < rel_tol:
             break
         if step == max_refinements:
+            short = "" if s.margin else ", a kept value short of its 2 w + 16 basis margin"
             raise NoConvergence(
-                f"top-{k} values still changing by {change.max():.2e} (tolerance "
-                f"{rel_tol:.1e}) after {max_refinements} refinements (P={P})"
+                f"top-{k} values still changing by {s.change.max():.2e} (tolerance "
+                f"{rel_tol:.1e}){short} after {max_refinements} refinements (P={s.P})"
             )
-    meta = {"N": P, "mode_cutoff": mode_cutoff}
-    spectrum = Spectrum(n=domain.n, values=tuple(top.tolist()), meta=meta)
-    return spectrum, _pairs(domain, cand, coeffs)
+    meta = {"N": s.P, "mode_cutoff": s.mode_cutoff}
+    spectrum = Spectrum(n=domain.n, values=tuple(s.top.tolist()), meta=meta)
+    return spectrum, _pairs(domain, s.cand, s.coeffs)
 
 
 def _jacobi_basis(
@@ -255,27 +274,43 @@ def assemble_mode(domain: CapDomain, m: int, P: int) -> tuple[np.ndarray, np.nda
     return K, D
 
 
-def _galerkin_mode(domain: CapDomain, m: int, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """All P Ritz values of mode m, ascending, with B-orthonormal coefficients.
+def _galerkin_mode(
+    domain: CapDomain, m: int, P: int, block: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mode m's P Ritz values, ascending, with B-orthonormal coefficients,
+    and the Ritz values of its leading `block` basis functions.
 
     With D = QR after column scaling, A c = Lambda B c becomes the SVD of
     K R^{-1}: Lambda = sigma^2 and c = R^{-1} v. R^{-1} is formed once,
     explicitly: for an upper triangular R, `inv` is back substitution
     against the identity, and the two products with it cost less than a
-    general `solve` would.
+    general `solve` would. The basis is hierarchical, so the leading block
+    columns of D have R[:block, :block] as their R factor, and R^{-1} is
+    upper triangular: the leading block columns of K R^{-1} are the
+    reduced matrix of the first block functions, and their singular values
+    alone give that smaller basis's values with no second assembly.
     """
     K, D = assemble_mode(domain, m, P)
     scale = 1.0 / np.linalg.norm(D, axis=0)
+    K *= scale
+    D *= scale
     try:
-        Rinv = np.linalg.inv(qr(D * scale, mode="r"))
-        _, sig, Vt = svd((K * scale) @ Rinv, full_matrices=False)
+        # Each factor is dropped once used: at P ~ 70 each is 0.1-0.25 MiB,
+        # and the solve's peak memory is what is alive at once.
+        Rinv = np.linalg.inv(qr(D, mode="r"))
+        del D
+        KR = K @ Rinv
+        del K
+        nested = svd(KR[:, :block], compute_uv=False)[::-1] ** 2
+        sig, Vt = svd(KR, full_matrices=False)[1:]
+        del KR
         C = scale[:, None] * (Rinv @ Vt[::-1].T)
     except (LinAlgError, ValueError) as exc:
         raise NoConvergence(f"Galerkin solve failed for mode m={m} at P={P}: {exc}") from exc
     vals = sig[::-1] ** 2
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(C))):
+    if not all(np.all(np.isfinite(a)) for a in (vals, C, nested)):
         raise NoConvergence(f"Galerkin solve of mode m={m} at P={P} is not finite")
-    return vals, C
+    return vals, C, nested
 
 
 @lru_cache(maxsize=64)
@@ -312,10 +347,11 @@ def _gauss_legendre(Q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _basis_size(cap: int, step: int) -> int:
-    """Basis size of a mode new to the sweep at ladder step `step`.
+    """Leading-block size of a mode new to the sweep at ladder step `step`.
 
-    It starts at 2 min(cap, FIRST_WIDTH) + 16 and grows by half (rounded
-    up) per step.
+    The mode is solved at `_basis_size(cap, step + 1)` functions. The size
+    starts at 2 min(cap, FIRST_WIDTH) + 16 and grows by half (rounded up)
+    per step.
     """
     P = 2 * min(cap, FIRST_WIDTH) + 16
     for _ in range(step):
@@ -323,31 +359,53 @@ def _basis_size(cap: int, step: int) -> int:
     return P
 
 
-def _ladder(
-    domain: CapDomain, k: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, _Cand, dict[int, np.ndarray], int]]:
+class _Step(NamedTuple):
+    """One step of the basis ladder."""
+
+    P: int  # the largest basis size it used
+    top: np.ndarray  # the k smallest values
+    block: int  # the largest leading block it used
+    nested: np.ndarray  # the k smallest values of the leading blocks
+    change: np.ndarray  # |top - nested| / |top|
+    margin: bool  # every mode has 2 w + 16 functions for the w values it kept
+    cand: _Cand  # the k smallest (value, m, index) candidates
+    coeffs: dict[int, np.ndarray]  # B-orthonormal coefficients of each mode they use
+    mode_cutoff: int
+
+
+def _ladder(domain: CapDomain, k: int) -> Iterator[_Step]:
     """The steps of the basis ladder, without end.
 
-    Each step sweeps the modes (`_sweep`) and yields (the largest basis
-    size it used, the top k values, their relative change from the
-    previous step or None on the first, the k smallest (value, m, index)
-    candidates, the B-orthonormal coefficients of each mode they use, mode
-    cutoff). A mode new to the sweep starts at `_basis_size`; after a step
-    each mode grows by half, and to at least 2 w + 16 functions for the w
-    values it kept (cand is sorted, so a mode's last index is its
-    largest): a step that agrees with the one before holds each kept value
-    at that margin.
+    Each step sweeps the modes (`_sweep`) once. A mode is assembled once
+    per step, at P, and its values are checked against those of its
+    leading block: the P it had at the step before, or, for a mode new to
+    the sweep, `_basis_size(cap, step)`. After a step each mode grows by
+    half, and to at least 2 w + 16 functions for the w values it kept
+    (cand is sorted, so a mode's last index is its largest): a step that
+    agrees with its blocks and keeps that margin holds each kept value at
+    it. The k smallest block values are padded with inf where the blocks
+    hold fewer.
     """
-    sizes: dict[int, int] = {}
-    prev = None
+    sizes: dict[int, tuple[int, int]] = {}
     for step in count():
-        used, cand, coeffs, mode_cutoff = _sweep(domain, k, sizes, step)
+        used, cand, nested, coeffs, mode_cutoff = _sweep(domain, k, sizes, step)
         top = np.array([c[0] for c in cand])
-        change = None if prev is None else np.abs(top - prev) / np.abs(top)
-        yield max(used.values()), top, change, cand, coeffs, mode_cutoff
-        prev = top
+        inner = np.array(nested + [np.inf] * (k - len(nested)))
         width = {m: j + 1 for _, m, j in cand}
-        sizes = {m: max((3 * p + 1) // 2, 2 * width.get(m, 0) + 16) for m, p in used.items()}
+        yield _Step(
+            P=max(P for P, _ in used.values()),
+            top=top,
+            block=max(block for _, block in used.values()),
+            nested=inner,
+            change=np.abs(top - inner) / np.abs(top),
+            margin=all(2 * w + 16 <= used[m][0] for m, w in width.items()),
+            cand=cand,
+            coeffs=coeffs,
+            mode_cutoff=mode_cutoff,
+        )
+        sizes = {
+            m: (max((3 * P + 1) // 2, 2 * width.get(m, 0) + 16), P) for m, (P, _) in used.items()
+        }
 
 
 def _pairs(domain: CapDomain, cand: _Cand, coeffs: dict[int, np.ndarray]) -> list[EigenPair]:
@@ -387,11 +445,13 @@ def convergence_table(
     k: int,
     levels: int = 4,
 ) -> list[tuple[int, list[float], list[float | None]]]:
-    """The top-k values at the first `levels` steps of solve_cap's ladder.
+    """The top-k values at the first `levels` rungs of solve_cap's ladder.
 
-    Returns one row per step: (largest basis size P, values, relative
-    change of each value from the previous step, None on the first row).
-    levels runs from 2 to MAX_REFINEMENTS + 1.
+    Returns one row per rung: (largest basis size P, values, relative
+    change of each value from the leading blocks, None on the first row).
+    Row 0 holds the first step's leading-block values; each later row
+    holds one step, whose blocks have the sizes of the row before. levels
+    runs from 2 to MAX_REFINEMENTS + 1.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
@@ -399,10 +459,10 @@ def convergence_table(
         raise InvalidInput(f"need at least 2 levels, got {levels}")
     if levels > MAX_REFINEMENTS + 1:
         raise InvalidInput(f"need at most {MAX_REFINEMENTS + 1} levels, got {levels}")
-    return [
-        (P, top.tolist(), [None] * k if change is None else change.tolist())
-        for P, top, change, *_ in islice(_ladder(domain, k), levels)
-    ]
+    steps = list(islice(_ladder(domain, k), levels - 1))
+    rows = [(steps[0].block, steps[0].nested.tolist(), [None] * k)]
+    rows += [(s.P, s.top.tolist(), s.change.tolist()) for s in steps]
+    return rows
 
 
 def _face_energy(f: np.ndarray, n: int, theta0: float) -> tuple[np.ndarray, np.ndarray]:

@@ -137,7 +137,7 @@ class TestBandedEngine:
 
     def test_matches_dense_at_moderate_grid(self):
         domain = CapDomain(3, 2.0)
-        lam, _ = solver._galerkin_mode(domain, 1, 24)
+        lam, _, _ = solver._galerkin_mode(domain, 1, 24, 16)
         dense = _dense_values(domain, 1, 24, 6)
         for a, b in zip(lam, dense):
             assert abs(a - b) <= 1e-9 * dense[0]
@@ -149,7 +149,7 @@ class TestBandedEngine:
         # formed A and B. Forming them squares the condition number, so the
         # basis is kept small enough for the dense route to stay accurate.
         domain = CapDomain(n, theta0)
-        lam, _ = solver._galerkin_mode(domain, m, 16)
+        lam, _, _ = solver._galerkin_mode(domain, m, 16, 11)
         dense = _dense_values(domain, m, 16, 6)
         for a, b in zip(lam, dense):
             assert abs(a - b) <= 1e-9 * dense[0]
@@ -157,13 +157,13 @@ class TestBandedEngine:
     def test_lowest_eigenvalue_increases_with_mode(self):
         # No spurious low modes: the first eigenvalue of each azimuthal
         # channel interlaces upward.
-        lows = [solver._galerkin_mode(CapDomain(2, 3.0), m, 40)[0][0] for m in range(5)]
+        lows = [solver._galerkin_mode(CapDomain(2, 3.0), m, 40, 27)[0][0] for m in range(5)]
         assert all(a < b for a, b in zip(lows, lows[1:]))
 
     def test_ritz_basis_b_orthonormal(self):
         # The coefficients are orthonormal under assemble_mode's B = D^T D.
         domain, P = CapDomain(2, 1.0), 40
-        _, C = solver._galerkin_mode(domain, 0, P)
+        _, C, _ = solver._galerkin_mode(domain, 0, P, 27)
         _, D = assemble_mode(domain, 0, P)
         DC = D @ C[:, :5]
         assert np.abs(DC.T @ DC - np.eye(5)).max() < 1e-10
@@ -221,6 +221,16 @@ class TestSolveCap:
         # values by ~5e-3; the message names k, the change and P.
         with pytest.raises(NoConvergence, match=r"top-2 .* changing by .* \(P=30\)"):
             solve_cap(CapDomain(2, 3.14), 2, max_refinements=1, rel_tol=1e-14)
+
+    def test_step_short_of_its_margin_does_not_stop(self, monkeypatch):
+        # Bases of 12 functions (blocks of 8) fall short of the 2 w + 16
+        # a kept value needs, so the first step may not stop, however well
+        # it agrees with its blocks.
+        monkeypatch.setattr(solver, "_basis_size", lambda cap, step: 8 + 4 * step)
+        with pytest.raises(NoConvergence, match=r"short of its 2 w \+ 16 basis margin .*\(P=12\)"):
+            solve_cap(CapDomain(2, 1.0), 3, max_refinements=1, rel_tol=1.0)
+        spectrum, _ = solve_cap(CapDomain(2, 1.0), 3, max_refinements=2, rel_tol=1.0)
+        assert spectrum.meta["N"] == 18
 
     def test_spectral_basis_sized_from_k(self):
         # The basis grows with k and ignores N0: a request far beyond what
@@ -325,7 +335,7 @@ class TestSpectralEngine:
     def test_whole_sphere_limit(self, n, theta0, m, want):
         # As theta0 -> pi the lowest value of mode m tends to the whole
         # sphere's l(l + n - 1), l = max(m, 1); sharply so for m >= 5.
-        vals, _ = solver._galerkin_mode(CapDomain(n, theta0), m, 48)
+        vals, _, _ = solver._galerkin_mode(CapDomain(n, theta0), m, 48, 32)
         assert abs(vals[0] - want) <= 1e-9 * want
 
     @pytest.mark.parametrize("m", [0, 1, 4])
@@ -351,7 +361,7 @@ class TestSpectralEngine:
 
     def test_coefficients_b_orthonormal(self):
         domain, m, P = CapDomain(3, 2.0), 2, 30
-        vals, C = solver._galerkin_mode(domain, m, P)
+        vals, C, _ = solver._galerkin_mode(domain, m, P, 20)
         x, w = solver._gauss_legendre(2 * P + 60)
         th = domain.theta0 * x
         f, f1, _ = solver._jacobi_basis(P, m, domain.n, x, domain.theta0)
@@ -364,20 +374,50 @@ class TestSpectralEngine:
         assert np.all(np.diff(vals) > 0)
 
     def test_each_mode_solved_once_per_step(self, monkeypatch):
-        # Every Galerkin solve returns all P values of its mode, so no
-        # mode is solved twice at one basis size.
+        # Every Galerkin solve returns all P values of its mode and those of
+        # its leading block, so no mode is solved twice at one basis size,
+        # and one step that agrees with its blocks sweeps modes 0 to cutoff
+        # once each.
         solves = []
         galerkin_mode = solver._galerkin_mode
 
-        def counted(domain, m, P):
+        def counted(domain, m, P, block):
             solves.append((m, P))
-            return galerkin_mode(domain, m, P)
+            return galerkin_mode(domain, m, P, block)
 
         monkeypatch.setattr(solver, "_galerkin_mode", counted)
         spectrum, _ = solve_cap(CapDomain(2, 1.0), 30)
         assert len(solves) == len(set(solves))
         assert max(P for _, P in solves) == spectrum.meta["N"]
-        assert len(solves) <= 2 * (spectrum.meta["mode_cutoff"] + 3)
+        assert len(solves) == spectrum.meta["mode_cutoff"] + 1
+
+    def test_each_mode_assembled_once(self, monkeypatch):
+        # The check of a step comes from the leading block of its own
+        # assembly, not from a second assembly at the smaller size.
+        assembled = []
+        assemble = solver.assemble_mode
+
+        def counted(domain, m, P):
+            assembled.append(m)
+            return assemble(domain, m, P)
+
+        monkeypatch.setattr(solver, "assemble_mode", counted)
+        spectrum, _ = solve_cap(CapDomain(2, 1.0), 10)
+        assert sorted(assembled) == list(range(spectrum.meta["mode_cutoff"] + 1))
+
+    @pytest.mark.parametrize(
+        "n,theta0,m",
+        [(2, 1.0, 0), (2, 3.0, 1), (3, 2.0, 2), (4, 3.0, 0), (10, 1.0, 0), (20, 1.0, 1), (50, 1.0, 0)],
+    )
+    def test_block_values_match_a_separate_solve(self, n, theta0, m):
+        # The leading 36-block of a 54-function solve gives the values of a
+        # 36-function solve; only the quadrature (168 against 132 nodes)
+        # and round-off differ.
+        domain = CapDomain(n, theta0)
+        _, _, nested = solver._galerkin_mode(domain, m, 54, 36)
+        alone, _, _ = solver._galerkin_mode(domain, m, 36, 24)
+        assert len(nested) == 36
+        assert np.abs(nested[:10] / alone[:10] - 1.0).max() <= 1e-13
 
     def test_large_k_bases_sized_from_kept_values(self, monkeypatch):
         # At k = 200 mode 0 keeps 9 of the top 200, so no basis grows
@@ -387,9 +427,9 @@ class TestSpectralEngine:
         final = {}
         galerkin_mode = solver._galerkin_mode
 
-        def recorded(domain, m, P):
+        def recorded(domain, m, P, block):
             final[m] = P
-            return galerkin_mode(domain, m, P)
+            return galerkin_mode(domain, m, P, block)
 
         monkeypatch.setattr(solver, "_galerkin_mode", recorded)
         domain, k = CapDomain(2, 1.0), 200
@@ -403,22 +443,29 @@ class TestSpectralEngine:
         fixed = sorted(
             v
             for m in range(spectrum.meta["mode_cutoff"] + 1)
-            for v in galerkin_mode(domain, m, 120)[0][:k]
+            for v in galerkin_mode(domain, m, 120, 80)[0][:k]
             for _ in range(harmonic_multiplicity(2, m))
         )[:k]
         for got, want in zip(spectrum.values, fixed):
             assert abs(got - want) <= 1e-10 * want
 
-    @pytest.mark.parametrize("failure", ["raise", "nan"])
+    @pytest.mark.parametrize("failure", ["raise", "nan", "nan_block"])
     def test_failure_maps_to_no_convergence(self, monkeypatch, failure):
-        def broken(a, **kwargs):
+        # The first assembly is at P = 39 (a 26-function block inside it).
+        # "nan" poisons the full SVD's values, "nan_block" only those of the
+        # block's values-only SVD.
+        def broken(a, compute_uv=True, **kwargs):
             if failure == "raise":
                 raise np.linalg.LinAlgError("synthetic failure")
+            poison = failure == ("nan" if compute_uv else "nan_block")
+            if not compute_uv:
+                s = np.linalg.svd(a, compute_uv=False, **kwargs)
+                return np.full_like(s, np.nan) if poison else s
             u, s, vt = np.linalg.svd(a, **kwargs)
-            return u, np.full_like(s, np.nan), vt
+            return u, (np.full_like(s, np.nan) if poison else s), vt
 
         monkeypatch.setattr(solver, "svd", broken)
-        with pytest.raises(NoConvergence, match=r"m=0 at P=26"):
+        with pytest.raises(NoConvergence, match=r"m=0 at P=39"):
             solve_cap(CapDomain(2, 1.0), 5)
 
     def test_solve_leaves_sparse_and_special_unloaded(self):
