@@ -236,14 +236,18 @@ def _check_dict(
 
 
 def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
-    """Solve one cap and evaluate the full check battery on it."""
+    """Solve one cap and evaluate the full check battery on it.
+
+    Only the spectrum is kept: the campaign never reads, and so never
+    samples, the eigenpairs, and their coefficients are dropped at once.
+    """
     try:
-        spectrum, _ = solve_cap(
+        spectrum = solve_cap(
             CapDomain(n, theta0),
             cfg.k_max,
             max_refinements=cfg.max_refinements,
             rel_tol=cfg.grid_rel_tol,
-        )
+        )[0]
     except SphereBuckleError as exc:
         return CaseResult(
             n=n,

@@ -52,7 +52,10 @@ k-th merged candidate. The pair builder, `_pairs`, samples each swept
 mode's coefficients once at the centers of a fixed PAIR_CELLS-cell grid
 (values only, no derivative rows), normalizes each distinct (m, j)
 profile so that the grid's discrete Dirichlet form equals 1, and hands
-the one resulting pair to all mult copies of its value.
+the one resulting pair to all mult copies of its value. `solve_cap`
+returns the pairs as a read-only sequence (`_LazyPairs`) that runs
+`_pairs` when it is first read, so a caller that never reads them, such
+as the campaign, never samples.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ def solve_cap(
     N0: int = 128,
     max_refinements: int = MAX_REFINEMENTS,
     rel_tol: float = 1e-6,
-) -> tuple[Spectrum, list[EigenPair]]:
+) -> tuple[Spectrum, Sequence[EigenPair]]:
     """Lowest k buckling eigenvalues of a clamped cap, refinement-controlled.
 
     Each mode's Jacobi basis grows by half per step until the k tracked
@@ -182,6 +185,11 @@ def solve_cap(
     is checked at P' = 2 min(ceil(k / mult), FIRST_WIDTH) + 16 functions
     inside a basis half as large again, and a mode that kept w values
     grows to at least 2 w + 16.
+
+    The pairs, one per value in the order of the spectrum, are a read-only
+    sequence sampled on first read: `len`, indexing or iteration samples
+    them once and drops the coefficients, and a caller that never reads
+    them pays nothing for them.
 
     meta: "N" is the largest basis of the final step, "mode_cutoff" the
     first azimuthal mode that closed the sweep. N0 is ignored; it stays in
@@ -203,7 +211,7 @@ def solve_cap(
             )
     meta = {"N": s.P, "mode_cutoff": s.mode_cutoff}
     spectrum = Spectrum(n=domain.n, values=tuple(s.top.tolist()), meta=meta)
-    return spectrum, _pairs(domain, s.cand, s.coeffs)
+    return spectrum, _LazyPairs(domain, s.cand, s.coeffs)
 
 
 def _jacobi_basis(
@@ -438,6 +446,29 @@ def _pairs(domain: CapDomain, cand: _Cand, coeffs: dict[int, np.ndarray]) -> lis
             f = -f
         built[m, j] = EigenPair(value=value, m=m, theta=grid, profile=tuple(f.tolist()))
     return [built[m, j] for _, m, j in cand]
+
+
+class _LazyPairs(Sequence[EigenPair]):
+    """`_pairs(domain, cand, coeffs)`, run when the sequence is first read."""
+
+    def __init__(self, domain: CapDomain, cand: _Cand, coeffs: dict[int, np.ndarray]) -> None:
+        self._args: tuple | None = (domain, cand, coeffs)
+        self._pairs: list[EigenPair] = []
+
+    def _read(self) -> list[EigenPair]:
+        if self._args is not None:
+            self._pairs = _pairs(*self._args)
+            self._args = None  # the coefficients are not needed again
+        return self._pairs
+
+    def __len__(self) -> int:
+        return len(self._read())
+
+    def __getitem__(self, index):
+        return self._read()[index]
+
+    def __iter__(self) -> Iterator[EigenPair]:
+        return iter(self._read())
 
 
 def convergence_table(

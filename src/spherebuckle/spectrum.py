@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb, isfinite, pi
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -177,6 +178,15 @@ def _c_encode(obj: Any, depth: int) -> str:
     return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode(obj)
 
 
+def _any_container(kinds: set[type]) -> bool:
+    """Whether values of these types include a container.
+
+    issubclass on each distinct type answers as isinstance on every value
+    would, subclasses included, while the set itself is built at C speed.
+    """
+    return any(issubclass(t, _CONTAINERS) for t in kinds)
+
+
 def _write_json(obj: Any, depth: int, out: list[str]) -> None:
     if not isinstance(obj, _CONTAINERS) or not obj:
         out.append(_c_encode(obj, depth))
@@ -184,12 +194,16 @@ def _write_json(obj: Any, depth: int, out: list[str]) -> None:
     outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
     is_dict = isinstance(obj, dict)
     values = obj.values() if is_dict else obj
-    if not any(isinstance(v, _CONTAINERS) for v in values):
+    kinds = set(map(type, values))
+    if not _any_container(kinds):
         # A leaf container: the separators already give its inner lines.
         text = _c_encode(obj, depth + 1)
         out += (text[0], inner, text[1:-1], outer, text[-1])
-    elif not is_dict and all(isinstance(v, dict) and v for v in obj) and not any(
-        isinstance(x, _CONTAINERS) for v in obj for x in v.values()
+    elif (
+        not is_dict
+        and all(issubclass(t, dict) for t in kinds)
+        and all(obj)
+        and not _any_container(set(map(type, chain.from_iterable(map(dict.values, obj)))))
     ):
         # An array of flat objects, encoded at its members' depth. The
         # encoder escapes every newline inside a string, so a raw newline
@@ -215,7 +229,9 @@ def _dumps(doc: Any) -> str:
     indent=2 switches json off its C encoder. Here every leaf container
     (an object or array of scalars) and every array of flat objects takes
     one C-encoder call; only the few containers above them are walked in
-    Python. The pieces are joined once at the end, so the document is
+    Python. Which of the three a container is follows from the set of its
+    values' types (and its members' values' types), not from a test of
+    each value. The pieces are joined once at the end, so the document is
     copied once, not once per level.
     """
     out: list[str] = []

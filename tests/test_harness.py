@@ -929,3 +929,35 @@ class TestCli:
 
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0
+
+
+class TestPairsSampledOnRead:
+    def test_campaign_and_plain_solve_never_sample(self, tmp_path, capsys, monkeypatch):
+        # Only --dump-file reads the pairs; everything else leaves them unsampled.
+        def refuse(*args):
+            raise AssertionError("pairs were sampled")
+
+        monkeypatch.setattr(solver, "_pairs", refuse)
+        report = run_campaign(CampaignConfig(**MINI), 1)
+        assert report.summary["case_errors"] == 0
+        cfg = _write_mini_config(tmp_path)
+        out = str(tmp_path / "report.json")
+        assert cli.main(["verify", "--config", cfg, "--jobs", "1", "--out", out]) == 0
+        solve = ["solve", "--n", "2", "--theta0", "1.0", "--k", "3"]
+        assert cli.main([*solve, "--out", str(tmp_path / "s.json")]) == 0
+        assert cli.main([*solve, "--format", "csv"]) == 0
+
+    def test_dump_samples_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        pairs = solver._pairs
+
+        def counted(*args):
+            calls.append(args)
+            return pairs(*args)
+
+        monkeypatch.setattr(solver, "_pairs", counted)
+        argv = ["solve", "--n", "2", "--theta0", "1.0", "--k", "6", "--dump-m", "1"]
+        argv += ["--dump-index", "0", "--dump-file", str(tmp_path / "d.csv")]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+        assert len((tmp_path / "d.csv").read_text().splitlines()) == 1 + solver.PAIR_CELLS

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -268,15 +269,51 @@ class TestSolveCap:
         tracemalloc.start()
         try:
             spectrum, pairs = solve_cap(CapDomain(50, 1.0), 2000)
+            values = [p.value for p in pairs]  # the first read samples them
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [p.value for p in pairs] == list(spectrum.values)
+        assert values == list(spectrum.values)
         distinct = {}
         for p in pairs:
             assert distinct.setdefault((p.m, p.value), p) is p
         assert sorted(m for m, _ in distinct) == [0, 1, 2, 3]
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("n,theta0,k", [(2, 1.0, 10), (3, 2.0, 30), (50, 1.0, 2000)])
+    def test_pairs_sampled_once_on_first_read(self, monkeypatch, n, theta0, k):
+        # The pairs are _pairs on the ladder's final step, run by the first
+        # read alone, after which the coefficients are let go.
+        steps, calls = [], []
+        ladder, pairs_of = solver._ladder, solver._pairs
+
+        def recorded(domain, k):
+            for s in ladder(domain, k):
+                steps[:] = [s]
+                yield s
+
+        def counted(*args):
+            calls.append(None)
+            return pairs_of(*args)
+
+        monkeypatch.setattr(solver, "_ladder", recorded)
+        monkeypatch.setattr(solver, "_pairs", counted)
+        domain = CapDomain(n, theta0)
+        _, pairs = solve_cap(domain, k)
+        assert calls == []
+        assert len(pairs) == k
+        assert len(calls) == 1
+        final = steps.pop()
+        want = pairs_of(domain, final.cand, final.coeffs)
+        assert pairs[-1] == want[-1] and pairs[-k] == want[0]
+        assert list(pairs) == want
+        assert list(pairs) == want
+        assert len(calls) == 1
+        held = [weakref.ref(C) for C in final.coeffs.values()]
+        del final
+        assert all(ref() is None for ref in held)
+        with pytest.raises(TypeError):
+            pairs[0] = want[0]
 
     def test_convergence_table_requires_positive_k(self):
         with pytest.raises(InvalidInput):

@@ -229,15 +229,42 @@ _scalars = st.one_of(
     st.none(),
     _text,
 )
-_flat_objects = st.lists(
-    st.dictionaries(_text, _scalars, min_size=1, max_size=4), min_size=1, max_size=4
+
+
+# Container subclasses: the writer classifies a container by the types of
+# its values, so a subclass must count as the container it extends.
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+_flat_object = st.dictionaries(_text, _scalars, min_size=1, max_size=4)
+_flat_objects = st.lists(_flat_object | _flat_object.map(_Dict), min_size=1, max_size=4)
+# An array of flat objects but for one value, a container subclass.
+_subclass_value = st.one_of(
+    st.dictionaries(_text, _scalars, max_size=2).map(_Dict),
+    st.lists(_scalars, max_size=2).map(_List),
+    st.lists(_scalars, max_size=2).map(_Tuple),
+)
+_almost_flat = st.builds(
+    lambda flat, key, value: [*flat, {key: value}], _flat_objects, _text, _subclass_value
 )
 _trees = st.recursive(
-    _scalars | _flat_objects,
+    _scalars | _flat_objects | _almost_flat,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(_List),
+        st.lists(children, max_size=4).map(_Tuple),
         st.dictionaries(_text, children, max_size=4),
+        st.dictionaries(_text, children, max_size=4).map(_Dict),
     ),
     max_leaves=30,
 )
