@@ -33,7 +33,7 @@ At n = 2 both correction terms vanish and w = p = lam exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, fsum, isfinite, log, sqrt
+from math import exp, fsum, inf, isfinite, log, sqrt
 from typing import Any, Iterable, Sequence
 
 from .errors import (
@@ -360,12 +360,17 @@ def default_delta_grid(
     lo: float = 1e-2, hi: float = 1e2, points: int = 50
 ) -> list[float]:
     """Log-spaced delta samples; the default window brackets delta* ~ 1/sqrt(lambda)."""
-    if not (lo > 0.0 and hi > lo and points >= 1):
-        raise InvalidInput(f"bad delta grid ({lo}, {hi}, {points})")
+    if not (0.0 < lo < hi < inf and points >= 1):
+        raise InvalidInput(
+            f"delta grid needs 0 < min < max < inf and points >= 1, got ({lo}, {hi}, {points})"
+        )
     if points == 1:
         return [lo]
     la, lb = log(lo), log(hi)
-    return [exp(la + (lb - la) * i / (points - 1)) for i in range(points)]
+    try:
+        return [exp(la + (lb - la) * i / (points - 1)) for i in range(points)]
+    except OverflowError as exc:  # a rounded sample past the largest float
+        raise InvalidInput(f"delta grid ({lo}, {hi}, {points}) overflows") from exc
 
 
 def build_report(

@@ -18,14 +18,14 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Any
 
 from .bounds import CheckRecord, _bounds_doc, _check_doc, build_report, default_delta_grid
-from .errors import ConfigError, SphereBuckleError
-from .spectrum import CapDomain, _dumps
-from .solver import MAX_REFINEMENTS, solve_cap
+from .errors import ConfigError, InvalidInput, SphereBuckleError
+from .spectrum import CapDomain, _dumps, _typed
+from .solver import MAX_REFINEMENTS, REL_TOL, solve_cap
 
 __all__ = [
     "CampaignConfig",
@@ -54,44 +54,34 @@ STANDARD_DIMS = (2, 3, 4)
 STANDARD_APERTURES = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 
-def _typed(value: Any, key: str, kinds: type | tuple[type, ...], what: str) -> Any:
-    """value itself if it is one of kinds; a JSON boolean is none of them."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return value
+def _key(key: str, kind: Any, default: Any, echo: bool = True) -> Any:
+    """A CampaignConfig field read from file key `key`, "section.name" inside a section.
 
-
-def _number(value: Any, key: str) -> float:
-    try:
-        return float(_typed(value, key, (int, float), "a number"))
-    except OverflowError as exc:  # a JSON integer beyond the float range
-        raise ConfigError(f"{key} is out of range: {value!r}") from exc
-
-
-def _section(doc: dict[str, Any], key: str, fields: tuple[str, ...]) -> dict[str, Any]:
-    """doc[key] (default {}) as an object holding only the given fields."""
-    section = _typed(doc.get(key, {}), key, dict, "an object")
-    unknown = set(section) - set(fields)
-    if unknown:
-        raise ConfigError(f"unknown {key} keys: {sorted(unknown)}")
-    return section
+    kind is the value's JSON kind as spectrum._typed reads it; echo=False
+    leaves the field out of the report's config.
+    """
+    return field(default=default, metadata={"key": key, "kind": kind, "echo": echo})
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Validated campaign parameters; defaults give the standard campaign."""
+    """Validated campaign parameters; defaults give the standard campaign.
 
-    dims: tuple[int, ...] = STANDARD_DIMS
-    apertures: tuple[float, ...] = STANDARD_APERTURES
-    k_max: int = 10
-    max_refinements: int = MAX_REFINEMENTS
-    grid_rel_tol: float = 1e-6
-    delta_min: float = 1e-2
-    delta_max: float = 1e2
-    delta_points: int = 50
-    rel_slack_tol: float = 1e-8
-    output_path: str | None = None
-    output_format: str = "json"
+    Each field declares its config-file key and JSON kind; from_dict and
+    the report's config echo both follow these declarations, in this order.
+    """
+
+    dims: tuple[int, ...] = _key("dims", [int], STANDARD_DIMS)
+    apertures: tuple[float, ...] = _key("apertures", [float], STANDARD_APERTURES)
+    k_max: int = _key("k_max", int, 10)
+    max_refinements: int = _key("grid.max_refinements", int, MAX_REFINEMENTS)
+    grid_rel_tol: float = _key("grid.rel_tol", float, REL_TOL)
+    delta_min: float = _key("delta_grid.min", float, 1e-2)
+    delta_max: float = _key("delta_grid.max", float, 1e2)
+    delta_points: int = _key("delta_grid.points", int, 50)
+    rel_slack_tol: float = _key("rel_slack_tol", float, 1e-8)
+    output_path: str | None = _key("output.path", str, None, echo=False)
+    output_format: str = _key("output.format", str, "json", echo=False)
 
     def __post_init__(self) -> None:
         if not self.dims or any((not isinstance(n, int)) or n < 2 for n in self.dims):
@@ -110,11 +100,10 @@ class CampaignConfig:
             )
         if not self.grid_rel_tol > 0.0:
             raise ConfigError(f"grid rel_tol must be positive, got {self.grid_rel_tol}")
-        if not (0.0 < self.delta_min < self.delta_max < math.inf) or self.delta_points < 1:
-            raise ConfigError(
-                f"delta grid needs 0 < min < max < inf and points >= 1, got "
-                f"({self.delta_min}, {self.delta_max}, {self.delta_points})"
-            )
+        try:
+            self.delta_grid()
+        except InvalidInput as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.rel_slack_tol > 0.0:
             raise ConfigError(
                 f"rel_slack_tol must be positive, got {self.rel_slack_tol}"
@@ -124,50 +113,21 @@ class CampaignConfig:
 
     @staticmethod
     def from_dict(doc: dict[str, Any]) -> "CampaignConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        known = {
-            "dims",
-            "apertures",
-            "k_max",
-            "grid",
-            "delta_grid",
-            "rel_slack_tol",
-            "output",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        doc = _typed(doc, "config", dict, ConfigError)
         kwargs: dict[str, Any] = {}
-        if "dims" in doc:
-            dims = _typed(doc["dims"], "dims", list, "a list")
-            kwargs["dims"] = tuple(_typed(n, "dims", int, "an integer") for n in dims)
-        if "apertures" in doc:
-            apertures = _typed(doc["apertures"], "apertures", list, "a list")
-            kwargs["apertures"] = tuple(_number(t, "apertures") for t in apertures)
-        if "k_max" in doc:
-            kwargs["k_max"] = _typed(doc["k_max"], "k_max", int, "an integer")
-        grid = _section(doc, "grid", ("max_refinements", "rel_tol"))
-        if "max_refinements" in grid:
-            kwargs["max_refinements"] = _typed(
-                grid["max_refinements"], "grid.max_refinements", int, "an integer"
-            )
-        if "rel_tol" in grid:
-            kwargs["grid_rel_tol"] = _number(grid["rel_tol"], "grid.rel_tol")
-        dg = _section(doc, "delta_grid", ("min", "max", "points"))
-        if "min" in dg:
-            kwargs["delta_min"] = _number(dg["min"], "delta_grid.min")
-        if "max" in dg:
-            kwargs["delta_max"] = _number(dg["max"], "delta_grid.max")
-        if "points" in dg:
-            kwargs["delta_points"] = _typed(dg["points"], "delta_grid.points", int, "an integer")
-        if "rel_slack_tol" in doc:
-            kwargs["rel_slack_tol"] = _number(doc["rel_slack_tol"], "rel_slack_tol")
-        out = _section(doc, "output", ("path", "format"))
-        if "path" in out:
-            kwargs["output_path"] = _typed(out["path"], "output.path", str, "a string")
-        if "format" in out:
-            kwargs["output_format"] = _typed(out["format"], "output.format", str, "a string")
+        known: dict[str, set[str]] = {"": set()}  # each section's keys, "" the top level's
+        for f in fields(CampaignConfig):
+            key, kind = f.metadata["key"], f.metadata["kind"]
+            section, _, name = key.rpartition(".")
+            known[""].add(section or name)
+            known.setdefault(section, set()).add(name)
+            part = _typed(doc.get(section, {}), section, dict, ConfigError) if section else doc
+            if name in part:
+                kwargs[f.name] = _typed(part[name], key, kind, ConfigError)
+        for section, names in known.items():
+            unknown = set(doc.get(section, {}) if section else doc) - names
+            if unknown:
+                raise ConfigError(f"unknown {section or 'config'} keys: {sorted(unknown)}")
         return CampaignConfig(**kwargs)
 
     @staticmethod
@@ -363,21 +323,13 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignReport:
 
 
 def _config_doc(cfg: CampaignConfig) -> dict[str, Any]:
-    return {
-        "dims": list(cfg.dims),
-        "apertures": list(cfg.apertures),
-        "k_max": cfg.k_max,
-        "grid": {
-            "max_refinements": cfg.max_refinements,
-            "rel_tol": cfg.grid_rel_tol,
-        },
-        "delta_grid": {
-            "min": cfg.delta_min,
-            "max": cfg.delta_max,
-            "points": cfg.delta_points,
-        },
-        "rel_slack_tol": cfg.rel_slack_tol,
-    }
+    """The config as from_dict reads it, in field order, less the echo=False fields."""
+    doc: dict[str, Any] = {}
+    for f in fields(cfg):
+        if f.metadata["echo"]:
+            section, _, name = f.metadata["key"].rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[name] = getattr(cfg, f.name)
+    return doc
 
 
 def report_to_json(report: CampaignReport, timestamp: bool = True) -> str:

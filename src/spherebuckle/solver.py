@@ -86,6 +86,8 @@ PAIR_CELLS = 512
 # that budget can reach: each step grows the largest basis by half, so a
 # deeper table only asks for more memory.
 MAX_REFINEMENTS = 8
+# solve_cap's default tolerance on the relative change of the top k values.
+REL_TOL = 1e-6
 # Candidates a mode's first block is sized for; later steps size it from
 # the values the mode kept, so at large k no mode starts at the
 # ceil(k / mult) values it could hold but does not.
@@ -173,7 +175,7 @@ def solve_cap(
     k: int,
     N0: int = 128,
     max_refinements: int = MAX_REFINEMENTS,
-    rel_tol: float = 1e-6,
+    rel_tol: float = REL_TOL,
 ) -> tuple[Spectrum, Sequence[EigenPair]]:
     """Lowest k buckling eigenvalues of a clamped cap, refinement-controlled.
 
@@ -298,10 +300,13 @@ def _galerkin_mode(
     reduced matrix of the first block functions, and their singular values
     alone give that smaller basis's values with no second assembly.
     """
-    K, D = assemble_mode(domain, m, P)
-    scale = 1.0 / np.linalg.norm(D, axis=0)
-    K *= scale
-    D *= scale
+    # An extreme cap (theta0 near 0, n in the thousands) under- or overflows
+    # here; the checks below report that as NoConvergence, with no warnings.
+    with np.errstate(all="ignore"):
+        K, D = assemble_mode(domain, m, P)
+        scale = 1.0 / np.linalg.norm(D, axis=0)
+        K *= scale
+        D *= scale
     try:
         # Each factor is dropped once used: at P ~ 70 each is 0.1-0.25 MiB,
         # and the solve's peak memory is what is alive at once.

@@ -251,14 +251,25 @@ def spectrum_to_json(s: Spectrum, domain: CapDomain | None = None) -> str:
     return _dumps(doc)
 
 
-def _number(v: Any, what: str) -> float:
-    # JSON true/false are ints to Python; a spectrum file has no use for them.
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InvalidInput(f"{what} must be a number, got {v!r}")
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value: Any, what: str, kind: Any, error: type[Exception] = InvalidInput) -> Any:
+    """value read as the JSON kind: int, float, str, list, dict, or [t], a list of t.
+
+    Nothing is coerced: a JSON boolean is no number, and an integer is a
+    float only within the float range. A list of t comes back as a tuple.
+    """
+    if isinstance(kind, list):
+        return tuple(_typed(v, what, kind[0], error) for v in _typed(value, what, list, error))
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise error(f"{what} must be {_KINDS[kind]}, got {value!r}")
+    if kind is not float:
+        return value
     try:
-        return float(v)
-    except OverflowError as exc:
-        raise InvalidInput(f"{what} is out of range: {v!r}") from exc
+        return float(value)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise error(f"{what} is out of range: {value!r}") from exc
 
 
 def spectrum_from_json(text: str) -> tuple[Spectrum, CapDomain | None]:
@@ -273,27 +284,17 @@ def spectrum_from_json(text: str) -> tuple[Spectrum, CapDomain | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidInput(f"spectrum document must be an object, got {type(doc).__name__}")
-    n, values = doc.get("n"), doc.get("eigenvalues")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InvalidInput(f"n must be an integer, got {n!r}")
-    if not isinstance(values, list):
-        raise InvalidInput(f"eigenvalues must be a list, got {values!r}")
-    values = tuple(_number(v, "eigenvalue") for v in values)
+    doc = _typed(doc, "spectrum document", dict)
+    n = _typed(doc.get("n"), "n", int)
+    values = _typed(doc.get("eigenvalues"), "eigenvalues", [float])
     meta = doc.get("meta")
-    if meta is None:
-        meta = {}
-    elif not isinstance(meta, dict):
-        raise InvalidInput(f"meta must be an object, got {meta!r}")
+    meta = {} if meta is None else _typed(meta, "meta", dict)
     dom_doc = doc.get("domain")
     domain = None
     if dom_doc is not None:
-        if not isinstance(dom_doc, dict):
-            raise InvalidInput(f"domain must be an object or null, got {dom_doc!r}")
-        if dom_doc.get("type") != "cap":
+        if _typed(dom_doc, "domain", dict).get("type") != "cap":
             raise InvalidInput(f"unknown domain type {dom_doc.get('type')!r}")
-        domain = CapDomain(n=n, theta0=_number(dom_doc.get("theta0"), "theta0"))
+        domain = CapDomain(n=n, theta0=_typed(dom_doc.get("theta0"), "theta0", float))
     spectrum = Spectrum(n=n, values=values, meta=meta)
     errors = validate_spectrum(spectrum).errors
     if errors:

@@ -267,6 +267,17 @@ class TestDominance:
         with pytest.raises(InvalidInput):
             dominance_gap(spec(2, 2), 1, 6.0, [])
 
+    @pytest.mark.parametrize(
+        "lo, hi, points",
+        [(1e-2, math.inf, 5), (1e-2, math.nan, 5), (1e-300, 1.7976931348623157e308, 7)],
+    )
+    def test_delta_grid_needs_a_finite_window(self, lo, hi, points):
+        # An infinite or NaN end would give NaN deltas, which the bound
+        # functions report only as "delta must be positive, got nan"; at the
+        # top of the float range a rounded sample overflows.
+        with pytest.raises(InvalidInput, match="delta grid"):
+            default_delta_grid(lo, hi, points)
+
     @given(spectra(min_k=2), st.floats(0.1, 50.0))
     @settings(max_examples=60)
     def test_never_negative(self, s, bump):

@@ -3,12 +3,14 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pickle
 import tempfile
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spherebuckle import cli, harness, solver
@@ -185,6 +187,19 @@ class TestConfig:
         assert all(type(n) is int for n in cfg.dims)
         assert all(type(t) is float for t in cfg.apertures)
         assert cfg.output_path is None or type(cfg.output_path) is str
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=st.deferred(lambda: _valid_config()))
+    def test_config_echo_reads_back(self, cfg):
+        # The report echoes every field but the output section; with that
+        # section put back, the echo is a config file for the same campaign.
+        report = CampaignReport(config=cfg, cases=(), summary={})
+        doc = json.loads(report_to_json(report, timestamp=False))["config"]
+        assert "output" not in doc
+        doc["output"] = {"format": cfg.output_format}
+        if cfg.output_path is not None:
+            doc["output"]["path"] = cfg.output_path
+        assert CampaignConfig.from_dict(doc) == cfg
 
     def test_non_object_document_rejected(self):
         with pytest.raises(ConfigError):
@@ -464,6 +479,33 @@ _config_documents = st.fixed_dictionaries(
         ),
     },
 )
+
+_positive = st.floats(min_value=0.0, exclude_min=True)
+
+
+@st.composite
+def _valid_config(draw) -> CampaignConfig:
+    window = st.lists(_positive.filter(math.isfinite), min_size=2, max_size=2, unique=True)
+    delta_min, delta_max = sorted(draw(window))
+    aperture = st.floats(0.0, math.pi, exclude_min=True, exclude_max=True)
+    kwargs = dict(
+        dims=tuple(draw(st.lists(st.integers(2, 60), min_size=1, max_size=4))),
+        apertures=tuple(draw(st.lists(aperture, min_size=1, max_size=4))),
+        k_max=draw(st.integers(1, 200)),
+        max_refinements=draw(st.integers(1, 20)),
+        grid_rel_tol=draw(_positive),
+        delta_min=delta_min,
+        delta_max=delta_max,
+        delta_points=draw(st.integers(1, 60)),
+        rel_slack_tol=draw(_positive),
+        output_path=draw(st.none() | st.text(max_size=8)),
+        output_format=draw(st.sampled_from(["json", "csv"])),
+    )
+    try:
+        return CampaignConfig(**kwargs)
+    except ConfigError:  # a window whose log-spaced samples overflow
+        assume(False)
+
 
 _scalars = st.one_of(
     st.none(),
@@ -879,6 +921,38 @@ class TestCli:
         assert len(lines) == 10
         gaps = [float(line.split(",")[3]) for line in lines[1:]]
         assert all(g >= 0.0 for g in gaps)
+
+    def test_compare_infinite_delta_max_exits_4(self, tmp_path, capsys):
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps({"n": 2, "eigenvalues": [2.0, 3.0]}))
+        code = cli.main(
+            [
+                "compare", "--spectrum", str(spath), "--k", "2",
+                "--lambda-next", "60", "--delta-max", "inf",
+            ]
+        )
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "delta grid" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "2", "--theta0", "1e-300", "--k", "2"],
+            ["--n", "2000", "--theta0", "1.0", "--k", "1"],
+        ],
+    )
+    def test_solve_extreme_cap_exits_3_with_one_error_line(self, capsys, argv):
+        # The assembly under- or overflows on these caps; the solve reports
+        # that as non-convergence, without numpy's warnings on stderr.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["solve", *argv])
+        assert code == 3
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
     def test_convergence_table(self, capsys):
         code = cli.main(
