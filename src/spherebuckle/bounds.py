@@ -45,7 +45,7 @@ from .errors import (
     SingularTerm,
     Unsorted,
 )
-from .spectrum import Spectrum, _dumps
+from .spectrum import Spectrum, _dumps, _first
 
 __all__ = [
     "DEFAULT_REL_TOL",
@@ -99,6 +99,10 @@ class CheckRecord:
         delta: float | None = None,
     ) -> "CheckRecord":
         slack = rhs - lhs
+        if not (isfinite(lhs) and isfinite(rhs) and isfinite(slack)):
+            # An overflowed side is no verdict: NaN or inf would read as a violation.
+            at = "" if delta is None else f" at delta={delta!r}"
+            raise InvalidInput(f"{inequality_id}{at} is not finite: lhs={lhs!r}, rhs={rhs!r}")
         tol = rel_tol * max(abs(lhs), abs(rhs), 1.0)
         return CheckRecord(inequality_id, lhs, rhs, slack, slack >= -tol, delta)
 
@@ -151,8 +155,9 @@ def _coefficients(s: Spectrum, k: int) -> tuple[list[BoundTerms], float, float]:
     if not 1 <= k <= len(s.values):
         raise InvalidInput(f"need 1 <= k <= {len(s.values)}, got k={k}")
     lams = s.values[:k]
-    if any(b < a for a, b in zip(lams, lams[1:])):
-        raise Unsorted(f"first {k} values not nondecreasing: {lams}")
+    i = _first(b < a for a, b in zip(lams, lams[1:]))
+    if i is not None:
+        raise Unsorted(f"first {k} values not nondecreasing: value {i + 1} ({lams[i + 1]!r})")
     t = [bound_terms(lam, s.n) for lam in lams]
     # S and T cannot overflow once their sums are finite: sum lam and sum lam^2
     # are far below sum w p ~ lam^2 and sum lam w p ~ lam^3.

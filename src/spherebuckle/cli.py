@@ -35,7 +35,7 @@ from .harness import (
     report_to_json as campaign_to_json,
     run_campaign,
 )
-from .spectrum import CapDomain, load_spectrum, spectrum_to_json
+from .spectrum import CapDomain, _csv, load_spectrum, spectrum_to_json
 from .solver import convergence_table, solve_cap
 
 __all__ = ["main", "build_parser"]
@@ -195,9 +195,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.format == "json":
         outputs = [(spectrum_to_json(spectrum, domain), args.out)]
     else:
-        lines = ["index,lambda"]
-        lines += [f"{i + 1},{v:.17g}" for i, v in enumerate(spectrum.values)]
-        outputs = [("\n".join(lines), args.out)]
+        outputs = [(_csv(("index", "lambda"), enumerate(spectrum.values, 1)), args.out)]
     if args.dump_file is not None:
         mode_pairs = [p for p in pairs if p.m == args.dump_m]
         if not 0 <= args.dump_index < len(mode_pairs):
@@ -206,9 +204,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 f"(mode has {len(mode_pairs)} computed pairs)"
             )
         pair = mode_pairs[args.dump_index]
-        lines = ["theta,f"]
-        lines += [f"{t:.17g},{f:.17g}" for t, f in zip(pair.theta, pair.profile)]
-        outputs.append(("\n".join(lines), args.dump_file))
+        outputs.append((_csv(("theta", "f"), zip(pair.theta, pair.profile)), args.dump_file))
     _write(*outputs)
     return EXIT_OK
 
@@ -219,7 +215,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     report = build_report(
         spectrum, args.k, lambda_next=args.lambda_next, theta0=theta0
     )
-    print(report_to_json(report))
+    _write((report_to_json(report), None))
     if args.lambda_next is not None and any(not c.holds for c in report.checks):
         return EXIT_VIOLATION
     return EXIT_OK
@@ -254,11 +250,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     spectrum, _domain = load_spectrum(args.spectrum)
     grid = default_delta_grid(args.delta_min, args.delta_max, args.delta_points)
     rows = dominance_gap(spectrum, args.k, args.lambda_next, grid)
-    lines = ["delta,family_rhs,dominant_rhs,gap"]
-    lines += [
-        f"{d:.17g},{wx:.17g},{new:.17g},{gap:.17g}" for d, wx, new, gap in rows
-    ]
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write((_csv(("delta", "family_rhs", "dominant_rhs", "gap"), rows), None))
     holds = all(CheckRecord.make("dominance", new, wx).holds for _, wx, new, _ in rows)
     return EXIT_OK if holds else EXIT_VIOLATION
 
@@ -266,16 +258,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_convergence(args: argparse.Namespace) -> int:
     domain = CapDomain(args.n, args.theta0)
     rows = convergence_table(domain, args.k, levels=args.levels)
-    head = ["P"]
-    head += [f"lambda_{i + 1}" for i in range(args.k)]
-    head += [f"change_{i + 1}" for i in range(args.k)]
-    lines = [",".join(head)]
-    for P, values, changes in rows:
-        cells: list[str] = [str(P)]
-        cells += [f"{v:.17g}" for v in values]
-        cells += ["" if c is None else f"{c:.3e}" for c in changes]
-        lines.append(",".join(cells))
-    sys.stdout.write("\n".join(lines) + "\n")
+    ks = range(1, args.k + 1)
+    head = ["P", *(f"lambda_{i}" for i in ks), *(f"change_{i}" for i in ks)]
+    cells = (
+        [P, *values, *(None if c is None else f"{c:.3e}" for c in changes)]
+        for P, values, changes in rows
+    )
+    _write((_csv(head, cells), None))
     return EXIT_OK
 
 

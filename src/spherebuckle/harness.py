@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -24,7 +25,7 @@ from typing import Any
 
 from .bounds import CheckRecord, _bounds_doc, _check_doc, build_report, default_delta_grid
 from .errors import ConfigError, InvalidInput, SphereBuckleError
-from .spectrum import CapDomain, _dumps, _typed
+from .spectrum import CapDomain, _csv, _dumps, _first, _typed
 from .solver import MAX_REFINEMENTS, REL_TOL, solve_cap
 
 __all__ = [
@@ -84,14 +85,14 @@ class CampaignConfig:
     output_format: str = _key("output.format", str, "json", echo=False)
 
     def __post_init__(self) -> None:
-        if not self.dims or any((not isinstance(n, int)) or n < 2 for n in self.dims):
-            raise ConfigError(f"dims must be integers >= 2, got {self.dims!r}")
-        if not self.apertures or any(
-            not 0.0 < t < math.pi for t in self.apertures
-        ):
-            raise ConfigError(
-                f"apertures must lie strictly inside (0, pi), got {self.apertures!r}"
-            )
+        i = _first(not isinstance(n, int) or n < 2 for n in self.dims)
+        if not self.dims or i is not None:
+            got = "()" if i is None else f"dims[{i}] = {reprlib.repr(self.dims[i])}"
+            raise ConfigError(f"dims must be integers >= 2, got {got}")
+        i = _first(not 0.0 < t < math.pi for t in self.apertures)
+        if not self.apertures or i is not None:
+            got = "()" if i is None else f"apertures[{i}] = {reprlib.repr(self.apertures[i])}"
+            raise ConfigError(f"apertures must lie strictly inside (0, pi), got {got}")
         if self.k_max < 1:
             raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
         if self.max_refinements < 1:
@@ -137,7 +138,7 @@ class CampaignConfig:
                 doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
         return CampaignConfig.from_dict(doc)
 
@@ -359,10 +360,6 @@ def report_to_json(report: CampaignReport, timestamp: bool = True) -> str:
     return _dumps(doc)
 
 
-def _g17(x: float | None) -> str:
-    return "" if x is None else f"{x:.17g}"
-
-
 def report_to_csv(report: CampaignReport) -> str:
     """One row per check under CAMPAIGN_CSV_COLUMNS, deterministically ordered.
 
@@ -370,32 +367,19 @@ def report_to_csv(report: CampaignReport) -> str:
     (empty k) first; meta_N is the case's largest basis size. A case that
     failed to solve has no rows.
     """
-    rows: list[tuple[tuple[Any, ...], str]] = []
-    for case in report.cases:
-        if case.error is not None:
-            continue
-        for c in case.checks:
-            k, delta = c["k"], c["delta"]
-            cells = (
-                case.n,
-                _g17(case.theta0),
-                "" if k is None else k,
-                c["inequality_id"],
-                _g17(c["lhs"]),
-                _g17(c["rhs"]),
-                _g17(c["slack"]),
-                str(c["holds"]).lower(),
-                _g17(delta),
-                case.meta.get("N", ""),
-            )
-            key = (
-                case.n,
-                case.theta0,
-                -1 if k is None else k,
-                c["inequality_id"],
-                -1.0 if delta is None else delta,
-            )
-            rows.append((key, ",".join(map(str, cells))))
-    rows.sort(key=lambda row: row[0])
-    lines = [",".join(CAMPAIGN_CSV_COLUMNS), *(line for _, line in rows)]
-    return "\n".join(lines) + "\n"
+    checks = [(case, c) for case in report.cases if case.error is None for c in case.checks]
+    checks.sort(
+        key=lambda check: (
+            check[0].n,
+            check[0].theta0,
+            -1 if check[1]["k"] is None else check[1]["k"],
+            check[1]["inequality_id"],
+            -1.0 if check[1]["delta"] is None else check[1]["delta"],
+        )
+    )
+    # Rows are made as they are written, so no more than one is held at once.
+    rows = (
+        {"n": case.n, "theta0": case.theta0, "meta_N": case.meta.get("N"), **c}
+        for case, c in checks
+    )
+    return _csv(CAMPAIGN_CSV_COLUMNS, ([row[col] for col in CAMPAIGN_CSV_COLUMNS] for row in rows))

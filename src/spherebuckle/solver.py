@@ -49,10 +49,10 @@ coefficients formed once, as arrays over j.
 The azimuthal sweep, `_sweep`, runs one Galerkin solve per mode m = 0,
 1, ... for its lowest ceil(k / mult) values until a mode opens above the
 k-th merged candidate. The pair builder, `_pairs`, samples each swept
-mode's coefficients once at the centers of a fixed PAIR_CELLS-cell grid
-(values only, no derivative rows), normalizes each distinct (m, j)
-profile so that the grid's discrete Dirichlet form equals 1, and hands
-the one resulting pair to all mult copies of its value. `solve_cap`
+mode's coefficients once at the centers of a fixed PAIR_CELLS-cell grid,
+normalizes each distinct (m, j) profile so that the grid's discrete
+Dirichlet form equals 1, and hands the one resulting pair to all mult
+copies of its value. `solve_cap`
 returns the pairs as a read-only sequence (`_LazyPairs`) that runs
 `_pairs` when it is first read, so a caller that never reads them, such
 as the campaign, never samples.
@@ -216,25 +216,20 @@ def solve_cap(
     return spectrum, _LazyPairs(domain, s.cand, s.coeffs)
 
 
-def _jacobi_basis(
-    P: int, m: int, n: int, x: np.ndarray, theta0: float, order: int = 2
-) -> tuple[np.ndarray, ...]:
-    """f_j and its theta-derivatives up to `order` at x = theta/theta0, one row per j < P.
+def _jacobi_basis(P: int, m: int, n: int, x: np.ndarray, theta0: float) -> tuple[np.ndarray, ...]:
+    """f_j and its first two theta-derivatives at x = theta/theta0, one row per j < P.
 
     f_j = g(x) P_j(s) with g = x^m (1 - x^2)^2 and s = 2x^2 - 1, where
     P_j = P_j^{(2, m+n/2-1)}. The three-term recurrence is differentiated
-    along to carry dP_j/ds and d^2P_j/ds^2. order is 2, for (f, f', f''),
-    or 0, for (f,) alone (the pair samples); f is the same to the bit
-    either way.
+    along to carry dP_j/ds and d^2P_j/ds^2.
     """
     a, b = 2.0, m + 0.5 * n - 1.0
     s = 2.0 * x * x - 1.0
-    p = np.zeros((P, order + 1, x.size))  # P_j, dP_j/ds, d^2P_j/ds^2
+    p = np.zeros((P, 3, x.size))  # P_j, dP_j/ds, d^2P_j/ds^2
     p[0, 0] = 1.0
     if P > 1:
         p[1, 0] = (a + 1.0) + 0.5 * (a + b + 2.0) * (s - 1.0)
-        if order:
-            p[1, 1] = 0.5 * (a + b + 2.0)
+        p[1, 1] = 0.5 * (a + b + 2.0)
     j = np.arange(1.0, P - 1)
     c = 2.0 * j + a + b
     d = 2.0 * (j + 1.0) * (j + a + b + 1.0) * c
@@ -249,14 +244,11 @@ def _jacobi_basis(
         np.multiply(t[i], p[i + 1], out=q)
         np.multiply(back[i], p[i], out=tmp)
         q -= tmp
-        if order:
-            np.multiply(carry[i], p[i + 1, :2], out=dtmp)
-            q[1:] += dtmp
+        np.multiply(carry[i], p[i + 1, :2], out=dtmp)
+        q[1:] += dtmp
     u = 1.0 - x * x
     g = x**m * u * u
     f = g * p[:, 0]
-    if not order:
-        return (f,)
     g1 = m * x ** (m - 1) * u * u - 4.0 * x ** (m + 1) * u
     g2 = m * (m - 1) * x ** (m - 2) * u * u - 4.0 * (2 * m + 1) * x**m * u + 8.0 * x ** (m + 2)
     fx = g1 * p[:, 0] + 4.0 * x * g * p[:, 1]
@@ -437,7 +429,7 @@ def _pairs(domain: CapDomain, cand: _Cand, coeffs: dict[int, np.ndarray]) -> lis
     mass = np.sin(theta) ** (n - 3) * (theta0 / PAIR_CELLS)  # times mu: sin^{n-1} h / sin^2
     grid = tuple(theta.tolist())
     samples = {
-        m: _jacobi_basis(len(C), m, n, x, theta0, order=0)[0].T @ C for m, C in coeffs.items()
+        m: _jacobi_basis(len(C), m, n, x, theta0)[0].T @ C for m, C in coeffs.items()
     }
     built: dict[tuple[int, int], EigenPair] = {}
     for value, m, j in cand:

@@ -4,13 +4,15 @@ A buckling spectrum on a geodesic cap decomposes over azimuthal modes: each
 degree-m spherical-harmonic channel contributes a 1D radial spectrum, and
 every radial eigenvalue enters the full spectrum with the multiplicity of
 degree-m harmonics on the boundary sphere. The helpers here validate
-spectra, expand multiplicities, and (de)serialize spectrum files; _dumps
-is the indent-2 JSON writer behind every document the package emits.
+spectra, expand multiplicities, and (de)serialize spectrum files. The
+package's two writers live here too: _dumps, the indent-2 JSON writer,
+and _csv, the CSV writer, behind every document the package emits.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from itertools import chain
 from math import comb, isfinite, pi
@@ -103,18 +105,25 @@ def validate_spectrum(s: Spectrum) -> ValidationResult:
     if not vals:
         errors.append(NonPositive("spectrum is empty"))
         return ValidationResult(tuple(errors), False)
-    if not all(isfinite(v) for v in vals):
-        # NaN compares false with everything, so it would pass every test below.
-        errors.append(InvalidInput(f"values must be finite: {vals}"))
-    if any(b < a for a, b in zip(vals, vals[1:])):
-        errors.append(Unsorted(f"values not nondecreasing: {vals}"))
-    if any(v <= 0.0 for v in vals):
-        errors.append(NonPositive(f"values must be strictly positive: {vals}"))
     floor = s.n - 2
-    if any(v <= floor for v in vals):
-        errors.append(SingularTerm(f"every value must exceed n - 2 = {floor}: {vals}"))
+    rules = (
+        # NaN compares false with everything, so it would pass every test below.
+        (InvalidInput, "must be finite", (not isfinite(v) for v in vals)),
+        (Unsorted, "is below the one before it", (b < a for a, b in zip(vals[:1] + vals, vals))),
+        (NonPositive, "must be strictly positive", (v <= 0.0 for v in vals)),
+        (SingularTerm, f"must exceed n - 2 = {floor}", (v <= floor for v in vals)),
+    )
+    for error, rule, flags in rules:
+        i = _first(flags)
+        if i is not None:
+            errors.append(error(f"value {i} ({vals[i]!r}) {rule}"))
     warn = vals[0] < s.n
     return ValidationResult(tuple(errors), warn)
+
+
+def _first(flags: Iterable[bool]) -> int | None:
+    """Index of the first true flag, or None: an error names one value, not all of them."""
+    return next((i for i, bad in enumerate(flags) if bad), None)
 
 
 def harmonic_multiplicity(n: int, m: int) -> int:
@@ -239,6 +248,26 @@ def _dumps(doc: Any) -> str:
     return "".join(out)
 
 
+def _cell(value: Any) -> str:
+    if isinstance(value, float):  # the common cell first
+        return f"{value:.17g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def _csv(head: Sequence[str], rows: Iterable[Iterable[Any]]) -> str:
+    """The CSV document with header row `head` and one line per row, newline-ended.
+
+    One cell rule serves every CSV the package emits: None is an empty
+    cell, a bool is true/false, a float is %.17g (it reads back as the
+    same float), anything else is str.
+    """
+    lines = [",".join(head)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def spectrum_to_json(s: Spectrum, domain: CapDomain | None = None) -> str:
     doc = {
         "n": s.n,
@@ -263,13 +292,13 @@ def _typed(value: Any, what: str, kind: Any, error: type[Exception] = InvalidInp
     if isinstance(kind, list):
         return tuple(_typed(v, what, kind[0], error) for v in _typed(value, what, list, error))
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise error(f"{what} must be {_KINDS[kind]}, got {value!r}")
+        raise error(f"{what} must be {_KINDS[kind]}, got {reprlib.repr(value)}")
     if kind is not float:
         return value
     try:
         return float(value)
     except OverflowError as exc:  # a JSON integer beyond the float range
-        raise error(f"{what} is out of range: {value!r}") from exc
+        raise error(f"{what} is out of range: {reprlib.repr(value)}") from exc
 
 
 def spectrum_from_json(text: str) -> tuple[Spectrum, CapDomain | None]:
@@ -282,7 +311,7 @@ def spectrum_from_json(text: str) -> tuple[Spectrum, CapDomain | None]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise InvalidInput(f"not valid JSON: {exc}") from exc
     doc = _typed(doc, "spectrum document", dict)
     n = _typed(doc.get("n"), "n", int)

@@ -107,6 +107,15 @@ class TestGuards:
         with pytest.raises(InvalidInput, match="dimension"):
             GUARDED[name](spec(1, 5, 7), 1)
 
+    def test_unsorted_error_names_one_value(self):
+        # 100 000 decreasing values: the message names the first value out
+        # of order, not the whole list.
+        s = Spectrum(2, tuple(1e5 - i for i in range(100_000)))
+        with pytest.raises(Unsorted) as caught:
+            check_theorem(s, 100_000, 2e5)
+        assert "value 1 (99999.0)" in str(caught.value)
+        assert len(str(caught.value)) < 1000
+
 
 class TestBoundNext:
     def test_n2_singleton(self):
@@ -366,6 +375,33 @@ class TestRecordsAndReport:
         assert r.holds and r.slack < 0
         r2 = CheckRecord.make("yang15", 1.0 + 1e-9, 1.0)
         assert not r2.holds
+
+    @pytest.mark.parametrize(
+        "lhs,rhs", [(math.inf, 1.0), (1.0, -math.inf), (math.nan, 1.0), (math.inf, math.inf)]
+    )
+    def test_checkrecord_rejects_non_finite_sides(self, lhs, rhs):
+        # An overflowed side is no verdict: as a record it would read as a
+        # violation (NaN slack, or an infinite one).
+        with pytest.raises(InvalidInput, match="wx13 at delta=2.0 is not finite"):
+            CheckRecord.make("wx13", lhs, rhs, delta=2.0)
+
+    def test_delta_near_largest_float_raises(self):
+        # delta^2 overflows the wx13 rhs; neither wx13 nor dominance may
+        # come back as a NaN row.
+        s, big = spec(2, 4.0, 9.0), 1.7976931348623157e308
+        with pytest.raises(InvalidInput, match="wx13 at delta="):
+            build_report(s, 1, lambda_next=9.0, delta_grid=[1.0, big])
+        with pytest.raises(InvalidInput, match="wx13 at delta="):
+            dominance_gap(s, 1, 9.0, [big])
+
+    def test_huge_candidate_raises(self):
+        # At lambda_next = 1e110 the product under thm14's root overflows:
+        # its rhs is inf, and chebyshev's slack inf - inf.
+        s = spec(2, 2.0, 3.0)
+        with pytest.raises(InvalidInput, match="thm14 is not finite"):
+            build_report(s, 2, lambda_next=1e110)
+        with pytest.raises(InvalidInput, match="chebyshev is not finite"):
+            chebyshev_check(s, 2, 1e110)
 
     @given(spectra(min_k=2), st.floats(0.0, 50.0), st.booleans())
     @settings(max_examples=100)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from spherebuckle import cli, harness, solver
 from spherebuckle.bounds import CheckRecord
-from spherebuckle.errors import ConfigError
+from spherebuckle.errors import ConfigError, InvalidInput
 from spherebuckle.harness import (
     CAMPAIGN_CSV_COLUMNS,
     CampaignConfig,
@@ -25,6 +25,7 @@ from spherebuckle.harness import (
     report_to_json,
     run_campaign,
 )
+from spherebuckle.spectrum import Spectrum
 
 MINI = dict(dims=(2,), apertures=(1.0,), k_max=3)
 
@@ -302,6 +303,13 @@ class TestRunCampaign:
         assert "generated_at" in with_ts
         del with_ts["generated_at"]
         assert with_ts == without
+
+    def test_overflowing_delta_raises_not_fails(self):
+        # delta^2 overflows wx13's rhs near the largest float: bad input,
+        # not two NaN rows counted as violations.
+        cfg = CampaignConfig(**{**MINI, "k_max": 2, "delta_max": 1.7976931348623157e308})
+        with pytest.raises(InvalidInput, match="wx13 at delta="):
+            run_campaign(cfg)
 
     def test_jobs_equivalence(self, two_cell_reports):
         serial, pooled = two_cell_reports
@@ -905,6 +913,107 @@ class TestCli:
         d1.pop("generated_at")
         d2.pop("generated_at")
         assert d1 == d2
+
+    def test_verify_inconclusive_row_still_fails(self, tmp_path, capsys, monkeypatch):
+        # A k_max 1 campaign checks lemma21 (lambda_1 >= n) alone. With
+        # lambda_1 just below n, beyond rel_slack_tol but within ten grid
+        # tolerances, that row is inconclusive, and still a failure.
+        def solve(domain, k, **_):
+            return Spectrum(domain.n, (domain.n * (1.0 - 1e-9),)), ()
+
+        monkeypatch.setattr(harness, "solve_cap", solve)
+        cfg = _write_mini_config(tmp_path, k_max=1, rel_slack_tol=1e-12)
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert [c["status"] for c in doc["cases"][0]["checks"]] == ["inconclusive — refine grid"]
+        assert (doc["summary"]["failures"], doc["summary"]["inconclusive"]) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "argv,first",
+        [
+            (["verify", "--config", "{cfg}", "--out", "{out}"], "wx13 at delta="),
+            (["compare", "--spectrum", "{spec}", "--k", "2", "--lambda-next", "60",
+              "--delta-max", "1.7976931348623157e308"], "wx13 at delta="),
+            (["bounds", "--spectrum", "{spec}", "--k", "2", "--lambda-next", "1e110"],
+             "thm14 is not finite"),
+        ],
+        ids=["verify", "compare", "bounds"],
+    )
+    def test_overflowing_check_exits_4(self, tmp_path, capsys, argv, first):
+        # An overflowed check is bad input, one error line, never a failed row.
+        paths = {
+            "cfg": _write_mini_config(
+                tmp_path, k_max=2, delta_grid={"max": 1.7976931348623157e308}
+            ),
+            "out": str(tmp_path / "report.json"),
+            "spec": str(tmp_path / "s.json"),
+        }
+        (tmp_path / "s.json").write_text(json.dumps({"n": 2, "eigenvalues": [2.0, 3.0]}))
+        assert cli.main([a.format(**paths) for a in argv]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: " + first), err
+        assert not os.path.exists(paths["out"])
+
+    @pytest.mark.parametrize(
+        "name,doc,argv",
+        [
+            ("s.json", {"n": 2, "eigenvalues": [1e5 - i for i in range(100_000)]},
+             ["bounds", "--spectrum", "{path}", "--k", "3"]),
+            ("c.json", {"dims": [2] * 99_999 + [1]}, ["verify", "--config", "{path}"]),
+            ("c.json", {"apertures": [1.0] * 99_999 + [4.0]}, ["verify", "--config", "{path}"]),
+        ],
+        ids=["decreasing-spectrum", "dims", "apertures"],
+    )
+    def test_error_on_large_input_stays_short(self, tmp_path, capsys, name, doc, argv):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        assert cli.main([a.format(path=path) for a in argv]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.encode()) < 1024, err[:200]
+
+    @pytest.mark.parametrize(
+        "name,text,argv",
+        [
+            ("s.json", '{"n": 2, "eigenvalues": [%s]}',
+             ["bounds", "--spectrum", "{path}", "--k", "1"]),
+            ("c.json", '{"k_max": %s}', ["verify", "--config", "{path}"]),
+        ],
+        ids=["spectrum", "config"],
+    )
+    def test_integer_past_digit_limit_exits_4(self, tmp_path, capsys, name, text, argv):
+        # Python refuses to parse an integer of more than 4300 digits.
+        path = tmp_path / name
+        path.write_text(text % ("1" * 5000))
+        assert cli.main([a.format(path=path) for a in argv]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_csv_documents_header_and_row_count(self, tmp_path, capsys):
+        # Every CSV document is its header line plus one line per row.
+        def run(argv, path=None):
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            text = out if path is None else path.read_text()
+            assert text.endswith("\n") and not text.endswith("\n\n")
+            return text.splitlines()
+
+        spec, dump = tmp_path / "s.json", tmp_path / "d.csv"
+        lines = run(["solve", "--n", "2", "--theta0", "1.0", "--k", "4", "--format", "csv"])
+        assert lines[0] == "index,lambda" and len(lines) == 1 + 4
+        lines = run(
+            ["solve", "--n", "2", "--theta0", "1.0", "--k", "4", "--out", str(spec),
+             "--dump-m", "0", "--dump-index", "0", "--dump-file", str(dump)],
+            dump,
+        )
+        assert lines[0] == "theta,f" and len(lines) == 1 + solver.PAIR_CELLS == 513
+        lines = run(
+            ["compare", "--spectrum", str(spec), "--k", "3", "--lambda-next", "200",
+             "--delta-points", "7"]
+        )
+        assert lines[0] == "delta,family_rhs,dominant_rhs,gap" and len(lines) == 1 + 7
+        lines = run(["convergence", "--n", "2", "--theta0", "1.0", "--k", "2", "--levels", "3"])
+        assert lines[0] == "P,lambda_1,lambda_2,change_1,change_2" and len(lines) == 1 + 3
 
     def test_compare_sweep(self, tmp_path, capsys):
         spath = tmp_path / "s.json"

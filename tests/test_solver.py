@@ -389,13 +389,6 @@ class TestSpectralEngine:
         rim, rim1, _ = solver._jacobi_basis(8, m, 3, np.array([1.0]), theta0)
         assert np.abs(rim).max() == 0.0 and np.abs(rim1).max() == 0.0
 
-    @pytest.mark.parametrize("P,m,n", [(1, 0, 2), (2, 3, 5), (9, 1, 2), (60, 0, 3), (150, 7, 50)])
-    def test_basis_values_alone_bit_identical(self, P, m, n):
-        # The pair samples take f without derivative rows; f must not move.
-        x = (np.arange(512) + 0.5) / 512
-        (f,) = solver._jacobi_basis(P, m, n, x, 1.3, order=0)
-        assert np.array_equal(f, solver._jacobi_basis(P, m, n, x, 1.3)[0])
-
     def test_coefficients_b_orthonormal(self):
         domain, m, P = CapDomain(3, 2.0), 2, 30
         vals, C, _ = solver._galerkin_mode(domain, m, P, 20)

@@ -13,6 +13,7 @@ from spherebuckle.solver import solve_cap
 from spherebuckle.spectrum import (
     CapDomain,
     Spectrum,
+    _csv,
     _dumps,
     harmonic_multiplicity,
     load_spectrum,
@@ -56,6 +57,17 @@ class TestValidate:
         # Evaluable (all values above n-2) but physically suspicious.
         r = validate_spectrum(Spectrum(3, (2.5, 3.5)))
         assert r.valid and r.warn_below_n
+
+    def test_errors_name_the_first_offending_value(self):
+        # 100 000 values, all of them bad: each message stays one short line.
+        vals = (math.nan,) + tuple(-float(i) for i in range(1, 100_000))
+        errors = validate_spectrum(Spectrum(3, vals)).errors
+        assert [str(e) for e in errors] == [
+            "value 0 (nan) must be finite",
+            "value 2 (-2.0) is below the one before it",
+            "value 1 (-1.0) must be strictly positive",
+            "value 1 (-1.0) must exceed n - 2 = 1",
+        ]
 
 
 class TestMultiplicity:
@@ -174,6 +186,20 @@ class TestJson:
         ):
             with pytest.raises(InvalidInput):
                 spectrum_from_json(text)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "eigenvalues": {"values": list(range(100_000))}},
+            {"n": "2" * 100_000, "eigenvalues": [3.0]},
+            {"n": 2, "eigenvalues": [3.0], "meta": ["x"] * 100_000},
+        ],
+        ids=["object", "string", "list"],
+    )
+    def test_type_errors_are_bounded(self, doc):
+        with pytest.raises(InvalidInput) as caught:
+            spectrum_from_json(json.dumps(doc))
+        assert len(str(caught.value)) < 200
 
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "eigs.json"
@@ -298,3 +324,36 @@ class TestDumps:
         assert _dumps(doc) == json.dumps(doc, indent=2)
         with pytest.raises(TypeError):
             _dumps({(1, 2): [[]]})
+
+
+_csv_cells = st.one_of(st.none(), st.booleans(), st.integers(), st.floats())
+
+
+class TestCsv:
+    @settings(max_examples=300)
+    @given(st.lists(st.lists(_csv_cells, min_size=1, max_size=6), max_size=6))
+    def test_cell_rule(self, rows):
+        # None is empty, bools are lowercase, ints go through str, and every
+        # float reads back as itself (the sign of zero included).
+        lines = _csv(("a", "b"), rows).split("\n")
+        assert lines[0] == "a,b" and lines[-1] == "" and len(lines) == len(rows) + 2
+        for line, row in zip(lines[1:], rows):
+            for cell, value in zip(line.split(","), row, strict=True):
+                if value is None:
+                    assert cell == ""
+                elif isinstance(value, bool):
+                    assert cell == ("true" if value else "false")
+                elif isinstance(value, int):
+                    assert cell == str(value)
+                elif math.isnan(value):
+                    assert math.isnan(float(cell))
+                else:
+                    back = float(cell)
+                    assert back == value and math.copysign(1.0, back) == math.copysign(1.0, value)
+
+    def test_special_floats(self):
+        rows = [[-0.0], [math.inf], [-math.inf], [math.nan], [np.float64(0.1)]]
+        assert _csv(("x",), rows) == "x\n-0\ninf\n-inf\nnan\n0.10000000000000001\n"
+
+    def test_no_rows_is_the_header_line(self):
+        assert _csv(("a", "b"), []) == "a,b\n"
