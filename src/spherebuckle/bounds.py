@@ -22,10 +22,13 @@ chain the first into the second.
 Every check is a short formula over a few sums of the gaps
 g_i = lambda_next - lambda_i. Those sums, and S and T, are evaluated once
 per (spectrum, k, lambda_next) into one record, _Sums; only the quadratic
-term of the delta family depends on delta and is summed per delta. Sums
+term of the delta family depends on delta. The family is evaluated as
+arrays: its terms as one delta-grid x k numpy broadcast, then one
+math.fsum per delta, then every side, slack and verdict as vectors. Sums
 are accumulated with error-free compensated summation (math.fsum): slacks
-near saturation must not be swamped by rounding. A sum that overflows is
-an input error, not a verdict.
+near saturation must not be swamped by rounding, and a correctly rounded
+sum does not depend on the order its terms arrive in. A sum that
+overflows is an input error, not a verdict.
 
 At n = 2 both correction terms vanish and w = p = lam exactly.
 """
@@ -33,8 +36,11 @@ At n = 2 both correction terms vanish and w = p = lam exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import exp, fsum, inf, isfinite, log, sqrt
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     AllGapsZero,
@@ -79,8 +85,17 @@ class BoundTerms:
     p: float
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+def _scale(lhs: Any, rhs: Any) -> Any:
+    """max(|lhs|, |rhs|, 1): what a slack is relative to, elementwise on arrays.
+
+    Every tolerance and every relative slack the package reports uses it.
+    """
+    if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
+        return np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    return max(abs(lhs), abs(rhs), 1.0)
+
+
+class CheckRecord(NamedTuple):
     """One evaluated inequality: sides, slack = rhs - lhs, verdict."""
 
     inequality_id: str
@@ -103,7 +118,7 @@ class CheckRecord:
             # An overflowed side is no verdict: NaN or inf would read as a violation.
             at = "" if delta is None else f" at delta={delta!r}"
             raise InvalidInput(f"{inequality_id}{at} is not finite: lhs={lhs!r}, rhs={rhs!r}")
-        tol = rel_tol * max(abs(lhs), abs(rhs), 1.0)
+        tol = rel_tol * _scale(lhs, rhs)
         return CheckRecord(inequality_id, lhs, rhs, slack, slack >= -tol, delta)
 
 
@@ -142,6 +157,21 @@ def _total(terms: Iterable[float]) -> float:
     if not isfinite(total):
         raise InvalidInput(f"a bound sum is not finite ({total!r})")
     return total
+
+
+def _fsums(rows: list[list[float]]) -> list[float]:
+    """fsum of each row; a sum past the largest float is inf, which a record refuses."""
+    try:
+        return list(map(fsum, rows))
+    except OverflowError:
+        pass
+    sums = []
+    for row in rows:
+        try:
+            sums.append(fsum(row))
+        except OverflowError:
+            sums.append(inf)
+    return sums
 
 
 def _coefficients(s: Spectrum, k: int) -> tuple[list[BoundTerms], float, float]:
@@ -212,29 +242,55 @@ class _Sums:
         return CheckRecord.make("chebyshev", lhs, rhs, rel_tol)
 
     def wx13(self, delta: float, rel_tol: float) -> CheckRecord:
-        if not delta > 0.0:
-            raise InvalidDelta(f"delta must be positive, got {delta!r}")
-        c = float(self.n - 2)
-        quad = fsum(
-            g * g * (delta * lam + delta * delta * (lam - c) / (4.0 * (delta * lam + c)))
-            for g, lam in zip(self.gaps, self.lams)
-        )
-        rhs = quad + self.gp / delta
-        return CheckRecord.make("wx13", 2.0 * self.g2, rhs, rel_tol, delta=delta)
+        return self.family([delta], rel_tol, dominance=False)[0][0]
 
     def family(
-        self, grid: Sequence[float], rel_tol: float
-    ) -> list[tuple[CheckRecord, CheckRecord]]:
-        """(wx13, dominance) per delta; dominance compares the delta-free rhs."""
+        self, grid: Sequence[float], rel_tol: float, dominance: bool = True
+    ) -> list[tuple[CheckRecord, ...]]:
+        """(wx13, dominance) per delta, or (wx13,) without dominance, evaluated as arrays.
+
+        wx13 is the formula documented on wangxia_rhs; dominance compares
+        its rhs with the delta-free rhs (dominance_gap). The terms are one
+        grid x k broadcast in the scalar formula's operation order, so each
+        is the same double; each delta's quadratic sum is one fsum. Errors
+        are those of the deltas taken in grid order: the first delta that
+        is not positive, or the first non-finite record, raises.
+        """
         if not grid:
             raise InvalidInput("delta grid is empty")
-        new_rhs = -self.corr + self.thm_rhs
-        out = []
-        for d in grid:
-            wx = self.wx13(d, rel_tol)
-            dom = CheckRecord.make("dominance", new_rhs, wx.rhs, rel_tol, delta=d)
-            out.append((wx, dom))
-        return out
+        d = np.asarray(grid, dtype=float)
+        positive = d > 0.0
+        # Deltas past the first one that is not positive are never reached.
+        stop = len(d) if positive.all() else int(np.argmin(positive))
+        c = float(self.n - 2)
+        g, lam, dd = np.array(self.gaps), np.array(self.lams), d[:stop, None]
+        ids = ("wx13", "dominance")[: 1 + dominance]
+        lhss = (2.0 * self.g2, -self.corr + self.thm_rhs)[: len(ids)]
+        lhs = np.array(lhss)[:, None]  # one row per id, one column per delta
+        with np.errstate(all="ignore"):
+            terms = g * g * (dd * lam + dd * dd * (lam - c) / (4.0 * (dd * lam + c)))
+            rhs = np.array(_fsums(terms.tolist())) + self.gp / d[:stop]
+            slack = rhs - lhs
+            tol = rel_tol * _scale(lhs, rhs)
+            holds = slack >= -tol
+            finite = np.isfinite(rhs) & np.isfinite(slack).all(axis=0) & np.isfinite(lhs).all()
+        first = stop if finite.all() else int(np.argmin(finite))
+        if first < len(d):
+            if first == stop:
+                raise InvalidDelta(f"delta must be positive, got {grid[first]!r}")
+            for iid, side in zip(ids, lhss):  # the record that make refuses names the side
+                CheckRecord.make(iid, side, float(rhs[first]), rel_tol, delta=grid[first])
+        sides = rhs.tolist()
+        # tuple.__new__(CheckRecord, fields) is CheckRecord._make(fields) less its length check.
+        records = (
+            map(
+                tuple.__new__,
+                repeat(CheckRecord),
+                zip(repeat(iid), repeat(side), sides, sl, ho, grid),
+            )
+            for iid, side, sl, ho in zip(ids, lhss, slack.tolist(), holds.tolist())
+        )
+        return list(zip(*records))
 
     def optimal_delta(self) -> tuple[float, float]:
         sw, sp = self.g2w, self.gp
@@ -408,8 +464,7 @@ def build_report(
     except (AllGapsZero, InvalidInput):
         delta_star = None
     grid = list(delta_grid) if delta_grid is not None else default_delta_grid()
-    for wx, dom in r.family(grid, rel_tol):
-        checks += (wx, dom)
+    checks += chain.from_iterable(r.family(grid, rel_tol))
     return BoundReport(
         n=s.n,
         k=k,
@@ -424,18 +479,6 @@ def build_report(
     )
 
 
-def _check_doc(c: CheckRecord) -> dict[str, Any]:
-    """The JSON form of one check, shared with campaign reports."""
-    return {
-        "inequality_id": c.inequality_id,
-        "lhs": c.lhs,
-        "rhs": c.rhs,
-        "slack": c.slack,
-        "holds": c.holds,
-        "delta": c.delta,
-    }
-
-
 def _bounds_doc(report: BoundReport) -> dict[str, Any]:
     """The JSON form of a report's bound values, shared with campaign reports."""
     keys = ("k", "S", "T", "upper_next", "gap_upper", "lower_prev", "delta_star")
@@ -447,7 +490,7 @@ def report_to_json(report: BoundReport) -> str:
         "n": report.n,
         "theta0": report.theta0,
         **_bounds_doc(report),
-        "checks": [_check_doc(c) for c in report.checks],
+        "checks": [c._asdict() for c in report.checks],
     }
     return _dumps(doc)
 

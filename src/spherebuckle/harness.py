@@ -21,9 +21,13 @@ import reprlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import repeat
+from operator import itemgetter
 from typing import Any
 
-from .bounds import CheckRecord, _bounds_doc, _check_doc, build_report, default_delta_grid
+import numpy as np
+
+from .bounds import CheckRecord, _bounds_doc, _scale, build_report, default_delta_grid
 from .errors import ConfigError, InvalidInput, SphereBuckleError
 from .spectrum import CapDomain, _csv, _dumps, _first, _typed
 from .solver import MAX_REFINEMENTS, REL_TOL, solve_cap
@@ -153,7 +157,9 @@ class CaseResult:
     reports holds one bound doc per k (bounds._bounds_doc: k, S, T, the
     three root bounds and delta*), exactly as written under the report's
     "bounds"; the checks of every k are in checks, the case-level lemma21
-    check (slack lambda_1 - n) first.
+    check (slack lambda_1 - n) first. tally is the case's share of the
+    campaign summary (_tally), folded where the case ran; it is not
+    written to reports.
     """
 
     n: int
@@ -165,6 +171,7 @@ class CaseResult:
     dominance_min: dict[int, float] = field(default_factory=dict)
     error: str | None = None
     error_type: str | None = None
+    tally: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -178,22 +185,32 @@ class CampaignReport:
         return int(self.summary["failures"])
 
 
-def _norm_scale(lhs: float, rhs: float) -> float:
-    return max(abs(lhs), abs(rhs), 1.0)
+INCONCLUSIVE = "inconclusive — refine grid"
 
 
 def _status(rec: CheckRecord, solver_rel_tol: float) -> str:
     if rec.holds:
         return "ok"
     if abs(rec.slack) < 10.0 * solver_rel_tol * abs(rec.rhs):
-        return "inconclusive — refine grid"
+        return INCONCLUSIVE
     return "violated"
 
 
 def _check_dict(
     rec: CheckRecord, k: int | None, solver_rel_tol: float
 ) -> dict[str, Any]:
-    return {"k": k, **_check_doc(rec), "status": _status(rec, solver_rel_tol)}
+    """One report row: k, the record's fields in their order, then the status."""
+    iid, lhs, rhs, slack, holds, delta = rec
+    return {
+        "k": k,
+        "inequality_id": iid,
+        "lhs": lhs,
+        "rhs": rhs,
+        "slack": slack,
+        "holds": holds,
+        "delta": delta,
+        "status": _status(rec, solver_rel_tol),
+    }
 
 
 def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
@@ -219,13 +236,13 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
     tol = cfg.rel_slack_tol
     grid = cfg.delta_grid()
     reports: list[dict[str, Any]] = []
-    checks: list[dict[str, Any]] = []
     dominance_min: dict[int, float] = {}
 
     # First-eigenvalue floor: the whole sphere's value is the infimum
     # over caps, so every cap must sit above the dimension.
-    lemma = CheckRecord.make("lemma21", float(n), spectrum.values[0], tol)
-    checks.append(_check_dict(lemma, None, cfg.grid_rel_tol))
+    records = [CheckRecord.make("lemma21", float(n), spectrum.values[0], tol)]
+    ks: list[int | None] = [None]
+    exact: list[bool] = [False]
 
     for k in range(1, cfg.k_max):
         lam_next = spectrum.values[k]
@@ -233,35 +250,79 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
             spectrum, k, lambda_next=lam_next, delta_grid=grid, rel_tol=tol
         )
         reports.append(_bounds_doc(rep))
-        for rec in rep.checks:
-            checks.append(_check_dict(rec, k, cfg.grid_rel_tol))
+        records += rep.checks
+        ks += repeat(k, len(rep.checks))
+        skip = _by_construction(k, spectrum.values)
+        exact += [rec.inequality_id in skip for rec in rep.checks]
         dominance_min[k] = min(
             rec.slack for rec in rep.checks if rec.inequality_id == "dominance"
         )
 
+    checks = tuple(map(_check_dict, records, ks, repeat(cfg.grid_rel_tol)))
     return CaseResult(
         n=n,
         theta0=theta0,
         eigenvalues=spectrum.values,
         meta=dict(spectrum.meta),
         reports=tuple(reports),
-        checks=tuple(checks),
+        checks=checks,
         dominance_min=dominance_min,
+        tally=_tally(n, theta0, records, ks, exact, checks),
     )
 
 
-def _by_construction(check: dict[str, Any], values: tuple[float, ...]) -> bool:
-    """True for a check that is an equality by construction on this spectrum.
+def _by_construction(k: int, values: tuple[float, ...]) -> frozenset[str]:
+    """The checks at depth k that are equalities by construction on this spectrum.
 
-    Its slack is rounding noise, so it is left out of the summary's worst
-    margin. At k = 1 the lower216 root is lambda_1 itself; chebyshev's two
-    products agree term by term when at most one gap lambda_{k+1} - lambda_i
-    is nonzero, that is when lambda_2 = lambda_{k+1} (always at k = 1).
+    Their slack is rounding noise, so they are left out of the summary's
+    worst margin. At k = 1 the lower216 root is lambda_1 itself;
+    chebyshev's two products agree term by term when at most one gap
+    lambda_{k+1} - lambda_i is nonzero, that is when lambda_2 = lambda_{k+1}
+    (always at k = 1).
     """
-    iid, k = check["inequality_id"], check["k"]
-    if iid == "lower216":
-        return k == 1
-    return iid == "chebyshev" and values[1] == values[k]
+    ids = {"lower216"} if k == 1 else set()
+    if values[1] == values[k]:
+        ids.add("chebyshev")
+    return frozenset(ids)
+
+
+def _tally(
+    n: int,
+    theta0: float,
+    records: list[CheckRecord],
+    ks: list[int | None],
+    exact: list[bool],
+    checks: tuple[dict[str, Any], ...],
+) -> dict[str, Any]:
+    """One case's share of the campaign summary: its check counts and worst margin.
+
+    worst is the first check with the smallest relative slack, slack over
+    bounds._scale(lhs, rhs), among those that are not equalities by
+    construction (exact), or None when every check is one.
+    """
+    statuses = [c["status"] for c in checks]
+    lhs, rhs, slack = (
+        np.fromiter(map(itemgetter(i), records), dtype=float, count=len(records))
+        for i in (1, 2, 3)
+    )
+    rel = np.where(exact, math.inf, slack / _scale(lhs, rhs))
+    i = int(np.argmin(rel))
+    worst = None
+    if rel[i] < math.inf:
+        worst = {
+            "rel_slack": float(rel[i]),
+            "slack": records[i].slack,
+            "n": n,
+            "theta0": theta0,
+            "k": ks[i],
+            "inequality_id": records[i].inequality_id,
+        }
+    return {
+        "checks": len(checks),
+        "failures": len(statuses) - statuses.count("ok"),
+        "inconclusive": statuses.count(INCONCLUSIVE),
+        "worst": worst,
+    }
 
 
 def _run_case_args(args: tuple[CampaignConfig, int, float]) -> CaseResult:
@@ -294,24 +355,15 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignReport:
         if case.error is not None:
             errors += 1
             continue
-        for c in case.checks:
-            total += 1
-            if not c["holds"]:
-                failures += 1
-                if c["status"].startswith("inconclusive"):
-                    inconclusive += 1
-            if _by_construction(c, case.eigenvalues):
-                continue
-            rel = c["slack"] / _norm_scale(c["lhs"], c["rhs"])
-            if worst is None or rel < worst["rel_slack"]:
-                worst = {
-                    "rel_slack": rel,
-                    "slack": c["slack"],
-                    "n": case.n,
-                    "theta0": case.theta0,
-                    "k": c["k"],
-                    "inequality_id": c["inequality_id"],
-                }
+        tally = case.tally
+        total += tally["checks"]
+        failures += tally["failures"]
+        inconclusive += tally["inconclusive"]
+        # Strictly smaller, so the first of equal minima wins, as in each case.
+        if tally["worst"] is not None and (
+            worst is None or tally["worst"]["rel_slack"] < worst["rel_slack"]
+        ):
+            worst = tally["worst"]
     summary = {
         "cases": len(results),
         "case_errors": errors,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherebuckle import bounds
 from spherebuckle.bounds import (
     BoundTerms,
     CheckRecord,
@@ -294,6 +295,91 @@ class TestDominance:
         lam_next = s.values[k] + bump
         for d, wx, new, gap in dominance_gap(s, k, lam_next, default_delta_grid()):
             assert gap >= -1e-10 * max(abs(wx), abs(new), 1.0)
+
+
+def _record(iid, lhs, rhs, rel_tol, delta):
+    slack = rhs - lhs
+    holds = slack >= -rel_tol * max(abs(lhs), abs(rhs), 1.0)
+    return CheckRecord(iid, lhs, rhs, slack, holds, delta)
+
+
+def _scalar_family(s, k, lam_next, grid, rel_tol):
+    """(wx13, dominance) per delta, one delta at a time, from the scalar
+    formulas documented on wangxia_rhs and dominance_gap: the oracle for
+    the array evaluation."""
+    n, lams = s.n, s.values[:k]
+    c = float(n - 2)
+    gaps = [lam_next - lam for lam in lams]
+    terms = [bound_terms(lam, n) for lam in lams]
+    g2 = math.fsum(g * g for g in gaps)
+    g2w = math.fsum(g * g * t.w for g, t in zip(gaps, terms))
+    gp = math.fsum(g * t.p for g, t in zip(gaps, terms))
+    corr = math.fsum(0.0 if n == 2 else g * g * c / (lam - c) for g, lam in zip(gaps, lams))
+    new_rhs = -corr + 2.0 * math.sqrt(max(g2w * gp, 0.0))
+    out = []
+    for d in grid:
+        quad = math.fsum(
+            g * g * (d * lam + d * d * (lam - c) / (4.0 * (d * lam + c)))
+            for g, lam in zip(gaps, lams)
+        )
+        rhs = quad + gp / d
+        out.append(_record("wx13", 2.0 * g2, rhs, rel_tol, d))
+        out.append(_record("dominance", new_rhs, rhs, rel_tol, d))
+    return out
+
+
+@st.composite
+def _family_inputs(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, 12))
+    vals = draw(st.lists(st.floats(n - 2 + 1e-3, n + 500.0), min_size=k + 1, max_size=k + 1))
+    grid = draw(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=20))
+    rel_tol = draw(st.sampled_from((1e-10, 1e-8, 1e-3)))
+    return Spectrum(n, tuple(sorted(vals))), k, grid, rel_tol
+
+
+class TestArrayFamily:
+    """The delta family is evaluated as arrays; it must give the scalar formula's records."""
+
+    @given(_family_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_records_equal_scalar_formula(self, inputs):
+        s, k, grid, rel_tol = inputs
+        ln = s.values[k]
+        want = _scalar_family(s, k, ln, grid, rel_tol)
+        got = [rec for pair in bounds._sums(s, k, ln).family(grid, rel_tol) for rec in pair]
+        assert got == want
+        # Bit for bit: repr tells -0.0 from 0.0, which == does not.
+        assert repr(got) == repr(want)
+        singles = [wangxia_rhs(s, k, ln, d, rel_tol) for d in grid]
+        assert repr(singles) == repr(want[::2])
+        gaps = dominance_gap(s, k, ln, grid, rel_tol)
+        assert gaps == [(d.delta, d.rhs, d.lhs, d.slack) for d in want[1::2]]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_bad_delta_mid_grid(self, bad):
+        s, grid = spec(3, 3.5, 7.0, 12.0), [0.5, 1.0, bad, 2.0]
+        with pytest.raises(InvalidDelta, match=f"delta must be positive, got {bad!r}$"):
+            build_report(s, 2, lambda_next=12.0, delta_grid=grid)
+        with pytest.raises(InvalidDelta, match=f"got {bad!r}$"):
+            dominance_gap(s, 2, 12.0, grid)
+
+    def test_first_failing_delta_decides_the_error(self):
+        # In grid order: a non-finite row before a bad delta names the row,
+        # a bad delta before a non-finite row is InvalidDelta.
+        s, big = spec(2, 4.0, 9.0), 1.7976931348623157e308
+        with pytest.raises(InvalidInput, match="wx13 at delta=1.79"):
+            dominance_gap(s, 1, 9.0, [1.0, big, -1.0])
+        with pytest.raises(InvalidDelta, match="got -1.0"):
+            dominance_gap(s, 1, 9.0, [1.0, -1.0, big])
+
+    def test_family_sum_past_largest_float_is_invalid_input(self):
+        # Both terms are finite, but their exact sum is past the largest
+        # float, so math.fsum raises OverflowError: that row is non-finite
+        # input (exit 4 on the command line), not a traceback.
+        s = spec(2, 4.0, 9.0)
+        with pytest.raises(InvalidInput, match="wx13 at delta=10.0 is not finite"):
+            dominance_gap(s, 2, 1.27e153, [10.0])
 
 
 class TestChebyshev:

@@ -282,8 +282,34 @@ _subclass_value = st.one_of(
 _almost_flat = st.builds(
     lambda flat, key, value: [*flat, {key: value}], _flat_objects, _text, _subclass_value
 )
+class _Int(int):
+    pass
+
+
+# Values a per-document text cache can confuse: -0.0 == 0.0, True == 1 ==
+# 1.0 (and hash alike), NaN != NaN, subclasses whose text json makes
+# through the base type. Rows draw from them repeatedly, so one float
+# recurs across rows and keys.
+_TRAPS = (
+    0.0, -0.0, math.nan, math.inf, -math.inf, True, 1, 1.0, False, 0, None,
+    0.1, np.float64(0.1), np.float64(-0.0), _Int(1), _Int(0), "\u00e9\u6f22\U0001f600", "1.0",
+)
+_trap_value = st.sampled_from(_TRAPS) | _scalars
+
+
+@st.composite
+def _shared_rows(draw):
+    """An array of flat objects sharing one key order, but for the rows drawn reordered."""
+    keys = draw(st.lists(_text, min_size=1, max_size=4, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.permutations(keys)) if draw(st.integers(0, 4)) == 0 else keys
+        rows.append({key: draw(_trap_value) for key in order})
+    return rows
+
+
 _trees = st.recursive(
-    _scalars | _flat_objects | _almost_flat,
+    _scalars | _flat_objects | _almost_flat | _shared_rows(),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -300,6 +326,25 @@ class TestDumps:
     @settings(max_examples=200, deadline=None)
     @given(doc=_trees)
     def test_equals_json_dumps_indent2(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [0.0, -0.0, 0.0, -0.0],
+            [math.nan, math.inf, -math.inf, math.nan, 2.5],
+            [True, 1, 1.0, False, 0, 0.0],
+            [1.0, True, 1],
+            [np.float64(0.5), 0.5, _Int(3), 3, np.float64(-0.0)],
+            ["\u00e9", "\u6f22", "\U0001f600", None],
+        ],
+    )
+    def test_shared_key_rows_keep_each_value_text(self, column):
+        # One column of a shared-key array, with the same values again
+        # under a second key and in a second document-level array, so a
+        # text made for one value is offered for the next.
+        rows = [{"a": v, "b": w} for v, w in zip(column, reversed(column))]
+        doc = {"x": rows, "y": [{"b": v, "a": v} for v in column]}
         assert _dumps(doc) == json.dumps(doc, indent=2)
 
     def test_campaign_shaped_document(self):
