@@ -22,40 +22,47 @@ Comput. 15, 1994). Every f_j is clamped at the rim and is theta^m times an
 even function at the pole, so no boundary treatment is needed. With
 Gauss-Legendre weights w on (0, theta0), the factors K = sqrt(w
 sin^{n-1}) L f and D = [sqrt(w sin^{n-1}) f'; sqrt(w sin^{n-1} mu) f / sin]
-(`assemble_mode`) give A = K^T K and B = D^T D, which are never formed:
-with D = QR after column scaling, the values are the squared singular
-values of K R^{-1}, and R^{-1} times its right singular vectors are
-B-orthonormal coefficients. Each mode's basis size P grows by half until
-the top k values settle, and to at least 2 w + 16 for the w values the
-mode kept. The basis is hierarchical, so one assembly at P also gives
-the Ritz values of the leading P' functions, P' being the size of the
-step before: each step is checked against its own leading blocks, and
-assembles each mode once. Ritz values are upper bounds in exact
-arithmetic only; at high n the basis is near-dependent, and round-off
-can put a value below the exact one (at (50, 2.5), lambda_1 by 1.27e-9).
-The finest values are reported as they are. `_ladder` yields these
-steps, each with its change from its blocks; `solve_cap` stops on them
-and `convergence_table` tabulates them. The solver needs numpy alone.
+(`assemble_mode`) give A = K^T K and B = D^T D, which are never formed.
+With R_K and R_D the R factors of K and of the column-scaled D, the
+values are the squared singular values of the P x P upper triangular
+T = R_K R_D^{-1}, which has those of K R_D^{-1}; R_D^{-1} times T's
+right singular vectors are B-orthonormal coefficients. Each mode's basis
+size P grows by half until the top k values settle, and to at least
+2 w + 16 for the w values the mode kept. The basis is hierarchical and
+the factors are triangular, so T's leading P' x P' block is the T of the
+leading P' functions, P' being the size of the step before: each step is
+checked against its own leading blocks, and assembles each mode once.
+The ladder computes values alone (`_galerkin_mode` at width 0);
+singular vectors are computed only when the pairs are read. Ritz
+values are upper bounds in exact arithmetic only; at high n the basis is
+near-dependent, and round-off can put a value below the exact one (at
+(50, 2.5), lambda_1 by 1.05e-9). The finest values are reported as they
+are. `_ladder` yields these steps, each with its change from its blocks;
+`solve_cap` stops on them and `convergence_table` tabulates them. The
+solver needs numpy alone.
 
-The Gauss-Legendre rule on Q = 2P + 60 nodes (`_gauss_legendre`) comes
-from Newton's method on the three-term Legendre recurrence, started at
-Tricomi's asymptotic nodes (Hale & Townsend, SIAM J. Sci. Comput. 35,
-2013). That costs O(Q^2) per rule, where numpy's `leggauss`, an
-eigenvalue solve, costs O(Q^3). Against a 40-digit rule up to Q = 571
-its nodes are within 2 ulp of max(x, 1 - x) and its weights within 1e-11
-relative. `_jacobi_basis` runs the basis recurrence with its
-coefficients formed once, as arrays over j.
+Each ladder step builds one Gauss-Legendre rule (`_gauss_legendre`), on
+Q = 2 P_step + 60 nodes for the step's largest basis P_step, so every
+mode has at least 2P + 60 nodes. The rule comes from Newton's method on
+the three-term Legendre recurrence, started at Tricomi's asymptotic
+nodes (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013). That costs
+O(Q^2) per rule, where numpy's `leggauss`, an eigenvalue solve, costs
+O(Q^3). Against a 40-digit rule up to Q = 571 its nodes are within 2 ulp
+of max(x, 1 - x) and its weights within 1e-11 relative. `_jacobi_basis`
+runs the basis recurrence with its coefficients formed once, as arrays
+over j.
 
 The azimuthal sweep, `_sweep`, runs one Galerkin solve per mode m = 0,
 1, ... for its lowest ceil(k / mult) values until a mode opens above the
-k-th merged candidate. The pair builder, `_pairs`, samples each swept
-mode's coefficients once at the centers of a fixed PAIR_CELLS-cell grid,
-normalizes each distinct (m, j) profile so that the grid's discrete
-Dirichlet form equals 1, and hands the one resulting pair to all mult
-copies of its value. `solve_cap`
-returns the pairs as a read-only sequence (`_LazyPairs`) that runs
-`_pairs` when it is first read, so a caller that never reads them, such
-as the campaign, never samples.
+k-th merged candidate. The pair builder, `_pairs`, solves each mode the
+candidates use once more, at the final step's basis and rule, for the w
+coefficient columns its candidates use, samples them at the centers of
+a fixed PAIR_CELLS-cell grid, normalizes each distinct (m, j) profile so
+that the grid's discrete Dirichlet form equals 1, and hands the one
+resulting pair to all mult copies of its value. `solve_cap` returns the
+pairs as a read-only sequence (`_LazyPairs`) that runs `_pairs` when it
+is first read, so a caller that never reads them, such as the campaign,
+never computes a singular vector.
 """
 
 from __future__ import annotations
@@ -125,31 +132,31 @@ def _closing_mode(lowest: Sequence[float], kth: float) -> int | None:
 
 def _sweep(
     domain: CapDomain, k: int, sizes: dict[int, tuple[int, int]], step: int
-) -> tuple[dict[int, tuple[int, int]], _Cand, list[float], dict[int, np.ndarray], int]:
+) -> tuple[dict[int, tuple[int, int]], int, _Cand, list[float], int]:
     """Solve modes m = 0, 1, ... until the k smallest merged values are safe.
 
     Mode m is solved (`_galerkin_mode`) at sizes[m] = (P, block), or, if
     the sweep has not reached it before, at P = `_basis_size(cap, step +
-    1)` with block `_basis_size(cap, step)`. It keeps its lowest cap =
-    ceil(k / mult) values with one column each, and as many of its block's
-    values. Each value enters the candidates mult times, and the sweep
-    stops once a mode opens above the current k-th candidate
-    (`_closing_mode`). Returns ((P, block) of every mode solved, the k
+    1)` with block `_basis_size(cap, step)`. Every mode is assembled on
+    the step's one rule of Q = 2 P_step + 60 nodes, P_step being the
+    largest of the sizes and of a new mode's, mode 0's at cap = k. It
+    keeps its lowest cap = ceil(k / mult) values, and as many of its
+    block's values. Each value enters the candidates mult times, and the
+    sweep stops once a mode opens above the current k-th candidate
+    (`_closing_mode`). Returns ((P, block) of every mode solved, Q, the k
     smallest (value, m, index) candidates sorted, the k smallest block
-    values sorted, the columns of each mode the candidates use, mode
-    cutoff).
+    values sorted, mode cutoff).
     """
+    Q = 2 * max([_basis_size(k, step + 1), *(P for P, _ in sizes.values())]) + 60
     used: dict[int, tuple[int, int]] = {}
     cand: _Cand = []
     nested: list[float] = []
-    cols: dict[int, np.ndarray] = {}
     lowest: list[float] = []
     while True:
         kth = cand[k - 1][0] if len(cand) >= k else np.inf
         cutoff = _closing_mode(lowest, kth)
         if cutoff is not None:
-            coeffs = {m: cols[m] for m in sorted({m for _, m, _ in cand})}
-            return used, cand, nested, coeffs, cutoff
+            return used, Q, cand, nested, cutoff
         m = len(lowest)
         if m > 64:
             raise NoConvergence("azimuthal sweep did not close by m = 64")
@@ -157,8 +164,7 @@ def _sweep(
         cap = ceil(k / mult)
         copies = min(mult, k)
         used[m] = sizes.get(m) or (_basis_size(cap, step + 1), _basis_size(cap, step))
-        vals, C, inner = _galerkin_mode(domain, m, *used[m])
-        cols[m] = C[:, :cap]
+        vals, _, inner = _galerkin_mode(domain, m, *used[m], Q, width=0)
         lowest.append(float(vals[0]))
         for j, v in enumerate(vals[:cap].tolist()):
             cand.extend([(v, m, j)] * copies)
@@ -189,9 +195,9 @@ def solve_cap(
     grows to at least 2 w + 16.
 
     The pairs, one per value in the order of the spectrum, are a read-only
-    sequence sampled on first read: `len`, indexing or iteration samples
-    them once and drops the coefficients, and a caller that never reads
-    them pays nothing for them.
+    sequence built on first read: `len`, indexing or iteration solves
+    each mode they use once more, with singular vectors, and samples it;
+    a caller that never reads them pays nothing for them.
 
     meta: "N" is the largest basis of the final step, "mode_cutoff" the
     first azimuthal mode that closed the sweep. N0 is ignored; it stays in
@@ -213,7 +219,7 @@ def solve_cap(
             )
     meta = {"N": s.P, "mode_cutoff": s.mode_cutoff}
     spectrum = Spectrum(n=domain.n, values=tuple(s.top.tolist()), meta=meta)
-    return spectrum, _LazyPairs(domain, s.cand, s.coeffs)
+    return spectrum, _LazyPairs(domain, s.cand, s.bases)
 
 
 def _jacobi_basis(P: int, m: int, n: int, x: np.ndarray, theta0: float) -> tuple[np.ndarray, ...]:
@@ -256,15 +262,18 @@ def _jacobi_basis(P: int, m: int, n: int, x: np.ndarray, theta0: float) -> tuple
     return f, fx / theta0, fxx / theta0**2
 
 
-def assemble_mode(domain: CapDomain, m: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+def assemble_mode(
+    domain: CapDomain, m: int, P: int, Q: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin factors (K, D) of mode m in its first P basis functions.
 
-    Under Gauss-Legendre quadrature on 2P + 60 nodes, A = K^T K and
-    B = D^T D, with one row per node (D stacks the gradient rows over the
-    mu f^2 / sin^2 rows) and one column per basis function.
+    Under Gauss-Legendre quadrature on Q nodes, 2P + 60 unless given,
+    A = K^T K and B = D^T D, with one row per node (D stacks the gradient
+    rows over the mu f^2 / sin^2 rows) and one column per basis function.
+    The ladder passes its step's Q, at least 2P + 60.
     """
     n, theta0 = domain.n, domain.theta0
-    x, w = _gauss_legendre(2 * P + 60)
+    x, w = _gauss_legendre(2 * P + 60 if Q is None else Q)
     w = theta0 * w
     mu = angular_eigenvalue(m, n)
     th = theta0 * x
@@ -277,25 +286,29 @@ def assemble_mode(domain: CapDomain, m: int, P: int) -> tuple[np.ndarray, np.nda
 
 
 def _galerkin_mode(
-    domain: CapDomain, m: int, P: int, block: int
+    domain: CapDomain, m: int, P: int, block: int, Q: int | None = None, width: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mode m's P Ritz values, ascending, with B-orthonormal coefficients,
-    and the Ritz values of its leading `block` basis functions.
+    """Mode m's P Ritz values, ascending, B-orthonormal coefficients of its
+    lowest `width` (default all P; 0 for values alone), and the Ritz values
+    of its leading `block` basis functions, on `assemble_mode`'s Q nodes.
 
-    With D = QR after column scaling, A c = Lambda B c becomes the SVD of
-    K R^{-1}: Lambda = sigma^2 and c = R^{-1} v. R^{-1} is formed once,
-    explicitly: for an upper triangular R, `inv` is back substitution
-    against the identity, and the two products with it cost less than a
-    general `solve` would. The basis is hierarchical, so the leading block
-    columns of D have R[:block, :block] as their R factor, and R^{-1} is
-    upper triangular: the leading block columns of K R^{-1} are the
-    reduced matrix of the first block functions, and their singular values
-    alone give that smaller basis's values with no second assembly.
+    With R_K and R_D the R factors of K and of the column-scaled D,
+    K = Q_K R_K, so T = R_K R_D^{-1}, upper triangular and P x P, has the
+    singular values and right singular vectors of K R_D^{-1}, the reduced
+    matrix of A c = Lambda B c: Lambda = sigma^2 and c = R_D^{-1} v.
+    R_D^{-1} is formed once, explicitly: for an upper triangular R, `inv`
+    is back substitution against the identity. The basis is hierarchical,
+    so the leading block columns of K and D have R_K[:block, :block] and
+    R_D[:block, :block] as their R factors; the inverse and the product of
+    upper triangular matrices keep leading blocks, so T[:block, :block] is
+    the smaller basis's T, and its singular values give that basis's
+    values with no second assembly. With width 0 no singular vector is
+    computed.
     """
     # An extreme cap (theta0 near 0, n in the thousands) under- or overflows
     # here; the checks below report that as NoConvergence, with no warnings.
     with np.errstate(all="ignore"):
-        K, D = assemble_mode(domain, m, P)
+        K, D = assemble_mode(domain, m, P, Q)
         scale = 1.0 / np.linalg.norm(D, axis=0)
         K *= scale
         D *= scale
@@ -304,12 +317,14 @@ def _galerkin_mode(
         # and the solve's peak memory is what is alive at once.
         Rinv = np.linalg.inv(qr(D, mode="r"))
         del D
-        KR = K @ Rinv
+        T = qr(K, mode="r") @ Rinv
         del K
-        nested = svd(KR[:, :block], compute_uv=False)[::-1] ** 2
-        sig, Vt = svd(KR, full_matrices=False)[1:]
-        del KR
-        C = scale[:, None] * (Rinv @ Vt[::-1].T)
+        nested = svd(T[:block, :block], compute_uv=False)[::-1] ** 2
+        if width == 0:
+            sig, C = svd(T, compute_uv=False), np.empty((P, 0))
+        else:
+            sig, Vt = svd(T)[1:]
+            C = scale[:, None] * (Rinv @ Vt[::-1][:width].T)
     except (LinAlgError, ValueError) as exc:
         raise NoConvergence(f"Galerkin solve failed for mode m={m} at P={P}: {exc}") from exc
     vals = sig[::-1] ** 2
@@ -374,7 +389,7 @@ class _Step(NamedTuple):
     change: np.ndarray  # |top - nested| / |top|
     margin: bool  # every mode has 2 w + 16 functions for the w values it kept
     cand: _Cand  # the k smallest (value, m, index) candidates
-    coeffs: dict[int, np.ndarray]  # B-orthonormal coefficients of each mode they use
+    bases: dict[int, tuple[int, int]]  # (P, Q) of each mode they use
     mode_cutoff: int
 
 
@@ -393,7 +408,7 @@ def _ladder(domain: CapDomain, k: int) -> Iterator[_Step]:
     """
     sizes: dict[int, tuple[int, int]] = {}
     for step in count():
-        used, cand, nested, coeffs, mode_cutoff = _sweep(domain, k, sizes, step)
+        used, Q, cand, nested, mode_cutoff = _sweep(domain, k, sizes, step)
         top = np.array([c[0] for c in cand])
         inner = np.array(nested + [np.inf] * (k - len(nested)))
         width = {m: j + 1 for _, m, j in cand}
@@ -405,7 +420,7 @@ def _ladder(domain: CapDomain, k: int) -> Iterator[_Step]:
             change=np.abs(top - inner) / np.abs(top),
             margin=all(2 * w + 16 <= used[m][0] for m, w in width.items()),
             cand=cand,
-            coeffs=coeffs,
+            bases={m: (used[m][0], Q) for m in sorted(width)},
             mode_cutoff=mode_cutoff,
         )
         sizes = {
@@ -413,23 +428,28 @@ def _ladder(domain: CapDomain, k: int) -> Iterator[_Step]:
         }
 
 
-def _pairs(domain: CapDomain, cand: _Cand, coeffs: dict[int, np.ndarray]) -> list[EigenPair]:
+def _pairs(domain: CapDomain, cand: _Cand, bases: dict[int, tuple[int, int]]) -> list[EigenPair]:
     """One eigenpair per candidate, sampled at the cell centers of a PAIR_CELLS-cell grid.
 
-    Each mode's coefficients are sampled once. Candidate (value, m, j) is
-    column j of mode m's samples, normalized so the grid's discrete
-    Dirichlet form (face gradients, the rim face sloping to zero, and the
-    mu f^2 / sin^2 mass at the cells) equals 1, with its largest entry
-    positive. The pair is built once per distinct (m, j); the mult copies
-    of its value share it.
+    Each mode m the candidates use is solved once more at its (P, Q) =
+    bases[m], for the w coefficient columns its candidates use
+    (`_galerkin_mode` at width w), and those columns are sampled once.
+    Candidate (value, m, j) is column j of mode m's samples, normalized so
+    the grid's discrete Dirichlet form (face gradients, the rim face
+    sloping to zero, and the mu f^2 / sin^2 mass at the cells) equals 1,
+    with its largest entry positive. The pair is built once per distinct
+    (m, j); the mult copies of its value share it.
     """
     n, theta0 = domain.n, domain.theta0
     x = (np.arange(PAIR_CELLS) + 0.5) / PAIR_CELLS
     theta = theta0 * x
     mass = np.sin(theta) ** (n - 3) * (theta0 / PAIR_CELLS)  # times mu: sin^{n-1} h / sin^2
     grid = tuple(theta.tolist())
+    width = {m: j + 1 for _, m, j in cand}  # cand is sorted: a mode's last index is its largest
     samples = {
-        m: _jacobi_basis(len(C), m, n, x, theta0)[0].T @ C for m, C in coeffs.items()
+        m: _jacobi_basis(P, m, n, x, theta0)[0].T
+        @ _galerkin_mode(domain, m, P, 0, Q, width[m])[1]
+        for m, (P, Q) in bases.items()
     }
     built: dict[tuple[int, int], EigenPair] = {}
     for value, m, j in cand:
@@ -446,16 +466,16 @@ def _pairs(domain: CapDomain, cand: _Cand, coeffs: dict[int, np.ndarray]) -> lis
 
 
 class _LazyPairs(Sequence[EigenPair]):
-    """`_pairs(domain, cand, coeffs)`, run when the sequence is first read."""
+    """`_pairs(domain, cand, bases)`, run when the sequence is first read."""
 
-    def __init__(self, domain: CapDomain, cand: _Cand, coeffs: dict[int, np.ndarray]) -> None:
-        self._args: tuple | None = (domain, cand, coeffs)
+    def __init__(self, domain: CapDomain, cand: _Cand, bases: dict[int, tuple[int, int]]) -> None:
+        self._args: tuple | None = (domain, cand, bases)
         self._pairs: list[EigenPair] = []
 
     def _read(self) -> list[EigenPair]:
         if self._args is not None:
             self._pairs = _pairs(*self._args)
-            self._args = None  # the coefficients are not needed again
+            self._args = None
         return self._pairs
 
     def __len__(self) -> int:

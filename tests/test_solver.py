@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import weakref
 
 import mpmath
 import numpy as np
@@ -283,7 +282,7 @@ class TestSolveCap:
     @pytest.mark.parametrize("n,theta0,k", [(2, 1.0, 10), (3, 2.0, 30), (50, 1.0, 2000)])
     def test_pairs_sampled_once_on_first_read(self, monkeypatch, n, theta0, k):
         # The pairs are _pairs on the ladder's final step, run by the first
-        # read alone, after which the coefficients are let go.
+        # read alone; the step holds each used mode's (P, Q), no coefficients.
         steps, calls = [], []
         ladder, pairs_of = solver._ladder, solver._pairs
 
@@ -304,14 +303,13 @@ class TestSolveCap:
         assert len(pairs) == k
         assert len(calls) == 1
         final = steps.pop()
-        want = pairs_of(domain, final.cand, final.coeffs)
+        want = pairs_of(domain, final.cand, final.bases)
         assert pairs[-1] == want[-1] and pairs[-k] == want[0]
         assert list(pairs) == want
         assert list(pairs) == want
         assert len(calls) == 1
-        held = [weakref.ref(C) for C in final.coeffs.values()]
-        del final
-        assert all(ref() is None for ref in held)
+        assert sorted(final.bases) == sorted({p.m for p in want})
+        assert all(type(v) is int for basis in final.bases.values() for v in basis)
         with pytest.raises(TypeError):
             pairs[0] = want[0]
 
@@ -411,9 +409,9 @@ class TestSpectralEngine:
         solves = []
         galerkin_mode = solver._galerkin_mode
 
-        def counted(domain, m, P, block):
+        def counted(domain, m, P, block, *args, **kwargs):
             solves.append((m, P))
-            return galerkin_mode(domain, m, P, block)
+            return galerkin_mode(domain, m, P, block, *args, **kwargs)
 
         monkeypatch.setattr(solver, "_galerkin_mode", counted)
         spectrum, _ = solve_cap(CapDomain(2, 1.0), 30)
@@ -427,9 +425,9 @@ class TestSpectralEngine:
         assembled = []
         assemble = solver.assemble_mode
 
-        def counted(domain, m, P):
+        def counted(domain, m, P, Q=None):
             assembled.append(m)
-            return assemble(domain, m, P)
+            return assemble(domain, m, P, Q)
 
         monkeypatch.setattr(solver, "assemble_mode", counted)
         spectrum, _ = solve_cap(CapDomain(2, 1.0), 10)
@@ -457,9 +455,9 @@ class TestSpectralEngine:
         final = {}
         galerkin_mode = solver._galerkin_mode
 
-        def recorded(domain, m, P, block):
+        def recorded(domain, m, P, block, *args, **kwargs):
             final[m] = P
-            return galerkin_mode(domain, m, P, block)
+            return galerkin_mode(domain, m, P, block, *args, **kwargs)
 
         monkeypatch.setattr(solver, "_galerkin_mode", recorded)
         domain, k = CapDomain(2, 1.0), 200
@@ -482,21 +480,102 @@ class TestSpectralEngine:
     @pytest.mark.parametrize("failure", ["raise", "nan", "nan_block"])
     def test_failure_maps_to_no_convergence(self, monkeypatch, failure):
         # The first assembly is at P = 39 (a 26-function block inside it).
-        # "nan" poisons the full SVD's values, "nan_block" only those of the
-        # block's values-only SVD.
+        # "nan" poisons the values of the full 39 x 39 T, "nan_block" only
+        # those of its 26 x 26 leading block; the ladder asks for values alone.
         def broken(a, compute_uv=True, **kwargs):
             if failure == "raise":
                 raise np.linalg.LinAlgError("synthetic failure")
-            poison = failure == ("nan" if compute_uv else "nan_block")
-            if not compute_uv:
-                s = np.linalg.svd(a, compute_uv=False, **kwargs)
-                return np.full_like(s, np.nan) if poison else s
-            u, s, vt = np.linalg.svd(a, **kwargs)
-            return u, (np.full_like(s, np.nan) if poison else s), vt
+            assert not compute_uv
+            poison = failure == ("nan" if len(a) == 39 else "nan_block")
+            s = np.linalg.svd(a, compute_uv=False, **kwargs)
+            return np.full_like(s, np.nan) if poison else s
 
         monkeypatch.setattr(solver, "svd", broken)
         with pytest.raises(NoConvergence, match=r"m=0 at P=39"):
             solve_cap(CapDomain(2, 1.0), 5)
+
+    def test_unread_solve_computes_no_singular_vector(self, monkeypatch):
+        # The ladder asks for values alone; only a read of the pairs asks
+        # for singular vectors, once per mode the pairs use.
+        asked = []
+
+        def recorded(a, compute_uv=True, **kwargs):
+            asked.append(compute_uv)
+            return np.linalg.svd(a, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(solver, "svd", recorded)
+        _, pairs = solve_cap(CapDomain(2, 1.0), 30)
+        assert asked and True not in asked
+        del asked[:]
+        modes = {p.m for p in pairs}
+        assert asked.count(True) == len(modes)
+
+    def test_first_read_solves_each_used_mode_once_with_vectors(self, monkeypatch):
+        # A first read solves each mode its pairs use once, at the final
+        # step's basis, for the columns those pairs use; a second read
+        # solves nothing.
+        solves = []
+        galerkin_mode = solver._galerkin_mode
+
+        def recorded(domain, m, P, block, Q=None, width=None):
+            solves.append((m, P, width))
+            return galerkin_mode(domain, m, P, block, Q, width)
+
+        monkeypatch.setattr(solver, "_galerkin_mode", recorded)
+        spectrum, pairs = solve_cap(CapDomain(3, 2.0), 30)
+        assert {width for _, _, width in solves} == {0}
+        final = {m: P for m, P, _ in solves}
+        del solves[:]
+        read = list(pairs)
+        # A mode's columns are its distinct values, not its multiplicity copies.
+        width = {m: len({p.value for p in read if p.m == m}) for m in {p.m for p in read}}
+        assert sorted(solves) == sorted((m, final[m], w) for m, w in width.items())
+        assert max(P for _, P, _ in solves) <= spectrum.meta["N"]
+        del solves[:]
+        assert list(pairs) == read and len(pairs) == 30 and pairs[0] is read[0]
+        assert solves == []
+
+    @pytest.mark.parametrize("n,theta0,k", [(3, 1.0, 30), (2, 3.14, 10)])
+    def test_one_quadrature_rule_per_ladder_step(self, monkeypatch, n, theta0, k):
+        # Every mode of a step is assembled on the step's one rule, which
+        # has at least 2P + 60 nodes for each of them: a fresh rule cache
+        # misses once per step (one step at (3, 1.0, 30), five near the
+        # whole sphere).
+        steps, rules = [], []
+        ladder, assemble = solver._ladder, solver.assemble_mode
+
+        def counted(domain, k):
+            for s in ladder(domain, k):
+                steps.append(s)
+                yield s
+
+        def recorded(domain, m, P, Q=None):
+            rules.append((len(steps), P, Q))
+            return assemble(domain, m, P, Q)
+
+        monkeypatch.setattr(solver, "_ladder", counted)
+        monkeypatch.setattr(solver, "assemble_mode", recorded)
+        solver._gauss_legendre.cache_clear()
+        solve_cap(CapDomain(n, theta0), k)
+        assert len(steps) == (1 if theta0 < 3 else 5)
+        assert solver._gauss_legendre.cache_info().misses == len(steps)
+        per_step = {}
+        for step, P, Q in rules:
+            per_step.setdefault(step, set()).add(Q)
+            assert Q >= 2 * P + 60
+        assert all(len(qs) == 1 for qs in per_step.values()) and len(per_step) == len(steps)
+
+    @pytest.mark.parametrize("theta0", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_standard_cap_lambda1_to_5e_15(self, n, theta0):
+        # lambda_1 of each standard cap, solved at the campaign's k = 10,
+        # against the exact rim-determinant root: within 1.6e-15 from T's
+        # singular values on one rule per step, where the singular values of
+        # K R_D^{-1} on one rule per mode were 1.15e-14 off at (3, 1.5).
+        spectrum, _ = solve_cap(CapDomain(n, theta0), 10)
+        lam = spectrum.values[0]
+        exact = oracles.cap_value(n, theta0, 0, lam)
+        assert abs(lam - exact) <= 5e-15 * exact
 
     def test_solve_leaves_sparse_and_special_unloaded(self):
         # The spectral engine needs numpy alone.
