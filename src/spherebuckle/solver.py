@@ -389,7 +389,7 @@ class _Step(NamedTuple):
     change: np.ndarray  # |top - nested| / |top|
     margin: bool  # every mode has 2 w + 16 functions for the w values it kept
     cand: _Cand  # the k smallest (value, m, index) candidates
-    bases: dict[int, tuple[int, int]]  # (P, Q) of each mode they use
+    bases: dict[int, tuple[int, int, int]]  # (P, Q, columns used) of each mode they use
     mode_cutoff: int
 
 
@@ -420,7 +420,7 @@ def _ladder(domain: CapDomain, k: int) -> Iterator[_Step]:
             change=np.abs(top - inner) / np.abs(top),
             margin=all(2 * w + 16 <= used[m][0] for m, w in width.items()),
             cand=cand,
-            bases={m: (used[m][0], Q) for m in sorted(width)},
+            bases={m: (used[m][0], Q, width[m]) for m in sorted(width)},
             mode_cutoff=mode_cutoff,
         )
         sizes = {
@@ -428,10 +428,12 @@ def _ladder(domain: CapDomain, k: int) -> Iterator[_Step]:
         }
 
 
-def _pairs(domain: CapDomain, cand: _Cand, bases: dict[int, tuple[int, int]]) -> list[EigenPair]:
+def _pairs(
+    domain: CapDomain, cand: _Cand, bases: dict[int, tuple[int, int, int]]
+) -> list[EigenPair]:
     """One eigenpair per candidate, sampled at the cell centers of a PAIR_CELLS-cell grid.
 
-    Each mode m the candidates use is solved once more at its (P, Q) =
+    Each mode m the candidates use is solved once more at its (P, Q, w) =
     bases[m], for the w coefficient columns its candidates use
     (`_galerkin_mode` at width w), and those columns are sampled once.
     Candidate (value, m, j) is column j of mode m's samples, normalized so
@@ -445,11 +447,9 @@ def _pairs(domain: CapDomain, cand: _Cand, bases: dict[int, tuple[int, int]]) ->
     theta = theta0 * x
     mass = np.sin(theta) ** (n - 3) * (theta0 / PAIR_CELLS)  # times mu: sin^{n-1} h / sin^2
     grid = tuple(theta.tolist())
-    width = {m: j + 1 for _, m, j in cand}  # cand is sorted: a mode's last index is its largest
     samples = {
-        m: _jacobi_basis(P, m, n, x, theta0)[0].T
-        @ _galerkin_mode(domain, m, P, 0, Q, width[m])[1]
-        for m, (P, Q) in bases.items()
+        m: _jacobi_basis(P, m, n, x, theta0)[0].T @ _galerkin_mode(domain, m, P, 0, Q, w)[1]
+        for m, (P, Q, w) in bases.items()
     }
     built: dict[tuple[int, int], EigenPair] = {}
     for value, m, j in cand:
@@ -468,7 +468,9 @@ def _pairs(domain: CapDomain, cand: _Cand, bases: dict[int, tuple[int, int]]) ->
 class _LazyPairs(Sequence[EigenPair]):
     """`_pairs(domain, cand, bases)`, run when the sequence is first read."""
 
-    def __init__(self, domain: CapDomain, cand: _Cand, bases: dict[int, tuple[int, int]]) -> None:
+    def __init__(
+        self, domain: CapDomain, cand: _Cand, bases: dict[int, tuple[int, int, int]]
+    ) -> None:
         self._args: tuple | None = (domain, cand, bases)
         self._pairs: list[EigenPair] = []
 

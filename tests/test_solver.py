@@ -282,7 +282,7 @@ class TestSolveCap:
     @pytest.mark.parametrize("n,theta0,k", [(2, 1.0, 10), (3, 2.0, 30), (50, 1.0, 2000)])
     def test_pairs_sampled_once_on_first_read(self, monkeypatch, n, theta0, k):
         # The pairs are _pairs on the ladder's final step, run by the first
-        # read alone; the step holds each used mode's (P, Q), no coefficients.
+        # read alone; the step holds each used mode's (P, Q, w), no coefficients.
         steps, calls = [], []
         ladder, pairs_of = solver._ladder, solver._pairs
 
@@ -569,9 +569,9 @@ class TestSpectralEngine:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_standard_cap_lambda1_to_5e_15(self, n, theta0):
         # lambda_1 of each standard cap, solved at the campaign's k = 10,
-        # against the exact rim-determinant root: within 1.6e-15 from T's
-        # singular values on one rule per step, where the singular values of
-        # K R_D^{-1} on one rule per mode were 1.15e-14 off at (3, 1.5).
+        # against the exact rim-determinant root. The worst is 1.6e-15; the
+        # gate catches an error like the 1.15e-14 at (3, 1.5) that the
+        # singular values of the tall K R_D^{-1} on per-mode rules gave.
         spectrum, _ = solve_cap(CapDomain(n, theta0), 10)
         lam = spectrum.values[0]
         exact = oracles.cap_value(n, theta0, 0, lam)
