@@ -1,11 +1,13 @@
 """Verification campaigns over (dimension, aperture) grids.
 
-A campaign solves each cap, then exercises every bound and inequality on
-the computed spectrum: the quadratic upper bound and its consequences at
-each truncation depth, the one-parameter family across a delta grid with
-its closed-form minimizer, the dominance of the delta-free bound and the
-first-eigenvalue floor. Results are flat check records with a deterministic
-ordering, serialized to JSON (full report) or CSV (fixed columns).
+A campaign solves each cap, then checks the computed spectrum: the
+quadratic upper bound and its consequences at each truncation depth (the
+six checks of bounds.build_report, with the closed-form delta minimizer
+recorded beside them) and the first-eigenvalue floor. The one-parameter
+delta family is not checked here: it holds by algebra whatever the
+spectrum (see bounds). Results are flat check records with a
+deterministic ordering, serialized to JSON (full report) or CSV (fixed
+columns).
 
 A failed check whose slack is within the grid-refinement tolerance of
 zero is labeled inconclusive rather than violated: discretization error
@@ -27,9 +29,9 @@ from typing import Any
 
 import numpy as np
 
-from .bounds import CheckRecord, _bounds_doc, _scale, build_report, default_delta_grid
-from .errors import ConfigError, InvalidInput, SphereBuckleError
-from .spectrum import CapDomain, _csv, _dumps, _first, _typed
+from .bounds import CheckRecord, _bounds_doc, _scale, build_report
+from .errors import ConfigError, SphereBuckleError
+from .spectrum import CapDomain, _csv, _first, _typed
 from .solver import MAX_REFINEMENTS, REL_TOL, solve_cap
 
 __all__ = [
@@ -81,9 +83,6 @@ class CampaignConfig:
     k_max: int = _key("k_max", int, 10)
     max_refinements: int = _key("grid.max_refinements", int, MAX_REFINEMENTS)
     grid_rel_tol: float = _key("grid.rel_tol", float, REL_TOL)
-    delta_min: float = _key("delta_grid.min", float, 1e-2)
-    delta_max: float = _key("delta_grid.max", float, 1e2)
-    delta_points: int = _key("delta_grid.points", int, 50)
     rel_slack_tol: float = _key("rel_slack_tol", float, 1e-8)
     output_path: str | None = _key("output.path", str, None, echo=False)
     output_format: str = _key("output.format", str, "json", echo=False)
@@ -105,10 +104,6 @@ class CampaignConfig:
             )
         if not self.grid_rel_tol > 0.0:
             raise ConfigError(f"grid rel_tol must be positive, got {self.grid_rel_tol}")
-        try:
-            self.delta_grid()
-        except InvalidInput as exc:
-            raise ConfigError(str(exc)) from exc
         if not self.rel_slack_tol > 0.0:
             raise ConfigError(
                 f"rel_slack_tol must be positive, got {self.rel_slack_tol}"
@@ -146,9 +141,6 @@ class CampaignConfig:
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
         return CampaignConfig.from_dict(doc)
 
-    def delta_grid(self) -> list[float]:
-        return default_delta_grid(self.delta_min, self.delta_max, self.delta_points)
-
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -168,7 +160,6 @@ class CaseResult:
     meta: dict[str, Any] = field(default_factory=dict)
     reports: tuple[dict[str, Any], ...] = ()
     checks: tuple[dict[str, Any], ...] = ()
-    dominance_min: dict[int, float] = field(default_factory=dict)
     error: str | None = None
     error_type: str | None = None
     tally: dict[str, Any] = field(default_factory=dict)
@@ -234,9 +225,7 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
             error_type=type(exc).__name__,
         )
     tol = cfg.rel_slack_tol
-    grid = cfg.delta_grid()
     reports: list[dict[str, Any]] = []
-    dominance_min: dict[int, float] = {}
 
     # First-eigenvalue floor: the whole sphere's value is the infimum
     # over caps, so every cap must sit above the dimension.
@@ -246,17 +235,12 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
 
     for k in range(1, cfg.k_max):
         lam_next = spectrum.values[k]
-        rep = build_report(
-            spectrum, k, lambda_next=lam_next, delta_grid=grid, rel_tol=tol
-        )
+        rep = build_report(spectrum, k, lambda_next=lam_next, rel_tol=tol)
         reports.append(_bounds_doc(rep))
         records += rep.checks
         ks += repeat(k, len(rep.checks))
         skip = _by_construction(k, spectrum.values)
         exact += [rec.inequality_id in skip for rec in rep.checks]
-        dominance_min[k] = min(
-            rec.slack for rec in rep.checks if rec.inequality_id == "dominance"
-        )
 
     checks = tuple(map(_check_dict, records, ks, repeat(cfg.grid_rel_tol)))
     return CaseResult(
@@ -266,7 +250,6 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
         meta=dict(spectrum.meta),
         reports=tuple(reports),
         checks=checks,
-        dominance_min=dominance_min,
         tally=_tally(n, theta0, records, ks, exact, checks),
     )
 
@@ -397,9 +380,6 @@ def report_to_json(report: CampaignReport, timestamp: bool = True) -> str:
                 "eigenvalues": list(case.eigenvalues),
                 "meta": case.meta,
                 "bounds": list(case.reports),
-                "dominance_min": {
-                    str(k): v for k, v in sorted(case.dominance_min.items())
-                },
                 "checks": list(case.checks),
                 "error": case.error,
                 "error_type": case.error_type,
@@ -409,15 +389,16 @@ def report_to_json(report: CampaignReport, timestamp: bool = True) -> str:
     }
     if timestamp:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return _dumps(doc)
+    return json.dumps(doc, indent=2)
 
 
 def report_to_csv(report: CampaignReport) -> str:
     """One row per check under CAMPAIGN_CSV_COLUMNS, deterministically ordered.
 
-    Rows sort by (n, theta0, k, inequality_id, delta), the case-level row
-    (empty k) first; meta_N is the case's largest basis size. A case that
-    failed to solve has no rows.
+    Rows sort by (n, theta0, k, inequality_id), the case-level row (empty
+    k) first; meta_N is the case's largest basis size. A case that failed
+    to solve has no rows. The delta column stays empty: no campaign check
+    has a delta.
     """
     checks = [(case, c) for case in report.cases if case.error is None for c in case.checks]
     checks.sort(
@@ -426,7 +407,6 @@ def report_to_csv(report: CampaignReport) -> str:
             check[0].theta0,
             -1 if check[1]["k"] is None else check[1]["k"],
             check[1]["inequality_id"],
-            -1.0 if check[1]["delta"] is None else check[1]["delta"],
         )
     )
     # Rows are made as they are written, so no more than one is held at once.

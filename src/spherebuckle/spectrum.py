@@ -5,8 +5,8 @@ degree-m spherical-harmonic channel contributes a 1D radial spectrum, and
 every radial eigenvalue enters the full spectrum with the multiplicity of
 degree-m harmonics on the boundary sphere. The helpers here validate
 spectra, expand multiplicities, and (de)serialize spectrum files. The
-package's two writers live here too: _dumps, the indent-2 JSON writer,
-and _csv, the CSV writer, behind every document the package emits.
+package's CSV writer, _csv, lives here too; every JSON document the
+package emits is json.dumps(doc, indent=2).
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 from math import comb, isfinite, pi
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -82,10 +80,9 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class ValidationResult:
-    """Outcome of validate_spectrum: hard errors plus a soft warning flag."""
+    """Outcome of validate_spectrum: the hard errors, none when valid."""
 
     errors: tuple[Exception, ...]
-    warn_below_n: bool
 
     @property
     def valid(self) -> bool:
@@ -95,9 +92,9 @@ class ValidationResult:
 def validate_spectrum(s: Spectrum) -> ValidationResult:
     """Check dimension, finiteness, ordering, positivity and lambda > n - 2.
 
-    A first value below n is only flagged, not rejected: user-supplied
-    spectra may be hypothetical, and every bound formula remains well
-    defined on lambda > n - 2.
+    A first value below n is no error: user-supplied spectra may be
+    hypothetical, and every bound formula remains well defined on
+    lambda > n - 2.
     """
     errors: list[Exception] = []
     vals = s.values
@@ -105,7 +102,7 @@ def validate_spectrum(s: Spectrum) -> ValidationResult:
         errors.append(InvalidInput(f"ambient dimension must be >= 2, got {s.n!r}"))
     if not vals:
         errors.append(NonPositive("spectrum is empty"))
-        return ValidationResult(tuple(errors), False)
+        return ValidationResult(tuple(errors))
     floor = s.n - 2
     rules = (
         # NaN compares false with everything, so it would pass every test below.
@@ -118,8 +115,7 @@ def validate_spectrum(s: Spectrum) -> ValidationResult:
         i = _first(flags)
         if i is not None:
             errors.append(error(f"value {i} ({vals[i]!r}) {rule}"))
-    warn = vals[0] < s.n
-    return ValidationResult(tuple(errors), warn)
+    return ValidationResult(tuple(errors))
 
 
 def _first(flags: Iterable[bool]) -> int | None:
@@ -176,138 +172,6 @@ def merge_modes(
     return Spectrum(n=n, values=tuple(expanded[:k]), meta=dict(meta or {}))
 
 
-_CONTAINERS = (dict, list, tuple)
-_NUMBERS = {int, float, bool}
-_SCALARS = {*_NUMBERS, str, type(None)}
-
-
-def _c_encode(obj: Any, depth: int) -> str:
-    """obj through json's C encoder, items separated as indent=2 does at depth.
-
-    The C encoder serves only indent=None, so the newline and indentation
-    ride in the item separator instead.
-    """
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode(obj)
-
-
-def _any_container(kinds: set[type]) -> bool:
-    """Whether values of these types include a container.
-
-    issubclass on each distinct type answers as isinstance on every value
-    would, subclasses included, while the set itself is built at C speed.
-    """
-    return any(issubclass(t, _CONTAINERS) for t in kinds)
-
-
-def _text(value: Any) -> str:
-    """One scalar's JSON text: the exact scalar types directly, anything else through json."""
-    kind = type(value)
-    if kind is float and isfinite(value):
-        return float.__repr__(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    return _c_encode(value, 0)  # bool, None, non-finite floats, subclasses, unknown types
-
-
-_Texts = dict[frozenset, dict[Any, str]]
-
-
-def _column(values: tuple[Any, ...], kinds: set[type], texts: _Texts) -> list[str]:
-    """The text of each value of one array-of-objects column (values, of types kinds).
-
-    texts holds, per document, one cache of value -> text for each kind
-    of number a column holds, so True, 1 and 1.0 (equal as keys) never
-    share one, and each distinct value's text is made once. Float zeros
-    are never cached, since -0.0 == 0.0; a NaN key matches only itself.
-    A column mixing kinds of number, or holding anything but exact
-    scalars, takes each value's text afresh.
-    """
-    numbers = kinds & _NUMBERS
-    if len(numbers) > 1 or not kinds <= _SCALARS:
-        return list(map(_text, values))
-    cache = texts.setdefault(frozenset(numbers), {})
-    for value in set(values).difference(cache):
-        if value != 0.0 or type(value) is not float:
-            cache[value] = _text(value)
-    out = list(map(cache.get, values))
-    i = -1
-    for _ in range(out.count(None)):  # float zeros
-        i = out.index(None, i + 1)
-        out[i] = _text(values[i])
-    return out
-
-
-def _shared_columns(rows: Any, kinds: set[type]) -> list[tuple[tuple, set[type]]] | None:
-    """Each value column of an array of flat objects that share one key order, with its types.
-
-    None unless every member is a dict with the first member's string keys
-    in the same order, and no value is a container.
-    """
-    if not all(issubclass(t, dict) for t in kinds):
-        return None
-    keys = tuple(rows[0])  # iterating a dict yields its keys
-    if not keys or set(map(type, keys)) != {str} or set(map(tuple, rows)) != {keys}:
-        return None
-    columns = [(col, set(map(type, col))) for col in zip(*map(dict.values, rows))]
-    if any(_any_container(col_kinds) for _, col_kinds in columns):
-        return None
-    return columns
-
-
-def _write_json(obj: Any, depth: int, out: list[str], texts: _Texts) -> None:
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        out.append(_c_encode(obj, depth))
-        return
-    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-    is_dict = isinstance(obj, dict)
-    values = obj.values() if is_dict else obj
-    kinds = set(map(type, values))
-    if not _any_container(kinds):
-        # A leaf container: the separators already give its inner lines.
-        text = _c_encode(obj, depth + 1)
-        out += (text[0], inner, text[1:-1], outer, text[-1])
-    elif not is_dict and (columns := _shared_columns(obj, kinds)) is not None:
-        # An array of flat objects with one key order, written through one
-        # row template: each key's head is encoded once, and row i is
-        # head_0 text_0[i] head_1 text_1[i] ... "}".
-        deeper = "\n" + "  " * (depth + 2)
-        heads = ["," + deeper + encode_basestring_ascii(key) + ": " for key in obj[0]]
-        heads[0] = "{" + heads[0][1:]
-        texts_by_key = (_column(col, col_kinds, texts) for col, col_kinds in columns)
-        template = chain.from_iterable(zip(map(repeat, heads), texts_by_key))
-        rows = map("".join, zip(*template, repeat(inner + "}")))
-        out += ("[", inner, ("," + inner).join(rows), outer, "]")
-    else:
-        # Each key as json converts (or rejects) it, followed by ": ".
-        keys = [_c_encode({k: None}, 0)[1:-5] for k in obj] if is_dict else [""] * len(obj)
-        opening, closing = "{}" if is_dict else "[]"
-        out.append(opening)
-        for i, (key, value) in enumerate(zip(keys, values)):
-            out += ("," if i else "", inner, key)
-            _write_json(value, depth + 1, out, texts)
-        out += (outer, closing)
-
-
-def _dumps(doc: Any) -> str:
-    """Exactly json.dumps(doc, indent=2), without json's pure-Python encoder.
-
-    indent=2 switches json off its C encoder. Here every leaf container
-    (an object or array of scalars) takes one C-encoder call, and every
-    array of flat objects that share one key order is written through one
-    row template, with the text of each distinct scalar made once per
-    document (_column); only the containers above them are walked in
-    Python. Which of these a container is follows from the set of its
-    values' types (and its members' keys and values' types), not from a
-    test of each value. The pieces are joined once at the end, so the
-    document is copied once, not once per level.
-    """
-    out: list[str] = []
-    _write_json(doc, 0, out, {})
-    return "".join(out)
-
-
 def _cell(value: Any) -> str:
     if isinstance(value, float):  # the common cell first
         return f"{value:.17g}"
@@ -337,7 +201,7 @@ def spectrum_to_json(s: Spectrum, domain: CapDomain | None = None) -> str:
         "eigenvalues": list(s.values),
         "meta": s.meta,
     }
-    return _dumps(doc)
+    return json.dumps(doc, indent=2)
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}

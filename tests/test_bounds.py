@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spherebuckle import bounds
@@ -297,6 +297,42 @@ class TestDominance:
             assert gap >= -1e-10 * max(abs(wx), abs(new), 1.0)
 
 
+# Admissible sequences over the dimensions and scales the paper covers:
+# k + 1 values lambda_i = (n - 2) + scale * u_i, scale from 1e-8 to 1e5.
+@st.composite
+def _admissible(draw):
+    n = draw(st.sampled_from((2, 3, 4, 5, 10, 20, 50)))
+    k = draw(st.integers(1, 12))
+    scale = 10.0 ** draw(st.floats(-8.0, 5.0))
+    u = draw(st.lists(st.floats(1e-3, 1.0), min_size=k + 1, max_size=k + 1))
+    vals = sorted(n - 2 + scale * x for x in u)
+    assume(vals[0] > n - 2)
+    return Spectrum(n, tuple(vals)), k
+
+
+class TestDominanceByAlgebra:
+    """Why the delta family has no report rows: it holds whatever the spectrum.
+
+    Termwise, delta lam + delta^2 (lam - c) / (4 (delta lam + c)) >= delta w
+    - c / (lam - c) with c = n - 2, and by AM-GM delta sum g^2 w + sum g p /
+    delta >= 2 sqrt(sum g^2 w sum g p). So the delta-free rhs never exceeds
+    the family's, and wx13's lhs, thm14's lhs less the correction sum,
+    holds wherever thm14 does.
+    """
+
+    GRID = default_delta_grid(1e-4, 1e4, 200)
+
+    @given(_admissible())
+    @settings(max_examples=300, deadline=None)
+    def test_family_holds_by_algebra(self, inputs):
+        s, k = inputs
+        ln = s.values[k]
+        for d, wx, new, gap in dominance_gap(s, k, ln, self.GRID):
+            assert gap >= -1e-10 * max(abs(wx), abs(new), 1.0), (d, wx, new)
+        if check_theorem(s, k, ln).holds:
+            assert all(wangxia_rhs(s, k, ln, d).holds for d in self.GRID)
+
+
 def _record(iid, lhs, rhs, rel_tol, delta):
     slack = rhs - lhs
     holds = slack >= -rel_tol * max(abs(lhs), abs(rhs), 1.0)
@@ -360,9 +396,9 @@ class TestArrayFamily:
     def test_bad_delta_mid_grid(self, bad):
         s, grid = spec(3, 3.5, 7.0, 12.0), [0.5, 1.0, bad, 2.0]
         with pytest.raises(InvalidDelta, match=f"delta must be positive, got {bad!r}$"):
-            build_report(s, 2, lambda_next=12.0, delta_grid=grid)
-        with pytest.raises(InvalidDelta, match=f"got {bad!r}$"):
             dominance_gap(s, 2, 12.0, grid)
+        with pytest.raises(InvalidDelta, match=f"delta must be positive, got {bad!r}$"):
+            wangxia_rhs(s, 2, 12.0, bad)
 
     def test_first_failing_delta_decides_the_error(self):
         # In grid order: a non-finite row before a bad delta names the row,
@@ -476,7 +512,7 @@ class TestRecordsAndReport:
         # come back as a NaN row.
         s, big = spec(2, 4.0, 9.0), 1.7976931348623157e308
         with pytest.raises(InvalidInput, match="wx13 at delta="):
-            build_report(s, 1, lambda_next=9.0, delta_grid=[1.0, big])
+            dominance_gap(s, 1, 9.0, [1.0, big])
         with pytest.raises(InvalidInput, match="wx13 at delta="):
             dominance_gap(s, 1, 9.0, [big])
 
@@ -496,8 +532,7 @@ class TestRecordsAndReport:
         # bit-for-bit the one the standalone public function returns.
         k = len(s.values) - 1
         lam_next = None if default_next else s.values[k] + bump
-        grid = default_delta_grid(points=7)
-        rep = build_report(s, k, lambda_next=lam_next, delta_grid=grid)
+        rep = build_report(s, k, lambda_next=lam_next)
         upper, gap, lower = bound_next(s, k)
         ln = upper if lam_next is None else lam_next
         assert (rep.S, rep.T) == compute_S_T(s, k)
@@ -515,9 +550,6 @@ class TestRecordsAndReport:
             CheckRecord.make("lower216", lower, s.values[k - 1]),
             chebyshev_check(s, k, ln),
         ]
-        for d, wx, new, _gap in dominance_gap(s, k, ln, grid):
-            expect.append(wangxia_rhs(s, k, ln, d))
-            expect.append(CheckRecord.make("dominance", new, wx, delta=d))
         assert list(rep.checks) == expect
 
     def test_build_report_ids(self):
@@ -531,9 +563,7 @@ class TestRecordsAndReport:
             "gap17",
             "lower216",
             "chebyshev",
-            "wx13",
-            "dominance",
         }
         assert rep.delta_star == 0.5
-        wx = [c for c in rep.checks if c.inequality_id == "wx13"]
-        assert len(wx) == 50 and all(c.delta is not None for c in wx)
+        # The delta family holds by algebra and has no rows (TestDominanceByAlgebra).
+        assert len(rep.checks) == 6 and all(c.delta is None for c in rep.checks)

@@ -10,12 +10,12 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherebuckle import cli, harness, solver
-from spherebuckle.bounds import CheckRecord
-from spherebuckle.errors import ConfigError, InvalidInput
+from spherebuckle.bounds import CheckRecord, default_delta_grid, dominance_gap
+from spherebuckle.errors import ConfigError
 from spherebuckle.harness import (
     CAMPAIGN_CSV_COLUMNS,
     CampaignConfig,
@@ -36,8 +36,6 @@ CHECK_IDS = {
     "gap17",
     "lower216",
     "chebyshev",
-    "wx13",
-    "dominance",
     "lemma21",
 }
 
@@ -82,14 +80,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CampaignConfig(dims=(2,), apertures=(1.0,), k_max=0)
 
-    def test_delta_grid_needs_positive_min(self):
-        with pytest.raises(ConfigError):
-            CampaignConfig(dims=(2,), apertures=(1.0,), delta_min=0.0)
-
-    def test_delta_grid_needs_min_below_max(self):
-        with pytest.raises(ConfigError):
-            CampaignConfig(dims=(2,), apertures=(1.0,), delta_min=2.0, delta_max=1.0)
-
     def test_unknown_output_format_rejected(self):
         with pytest.raises(ConfigError):
             CampaignConfig(dims=(2,), apertures=(1.0,), output_format="xml")
@@ -101,7 +91,6 @@ class TestConfig:
                 "apertures": [0.5, 1.5],
                 "k_max": 4,
                 "grid": {"max_refinements": 5, "rel_tol": 1e-5},
-                "delta_grid": {"min": 0.1, "max": 10.0, "points": 7},
                 "rel_slack_tol": 1e-7,
                 "output": {"path": "r.json", "format": "json"},
             }
@@ -110,7 +99,6 @@ class TestConfig:
         assert cfg.apertures == (0.5, 1.5)
         assert cfg.max_refinements == 5
         assert cfg.grid_rel_tol == 1e-5
-        assert cfg.delta_points == 7
         assert cfg.rel_slack_tol == 1e-7
         assert cfg.output_path == "r.json"
 
@@ -122,7 +110,7 @@ class TestConfig:
         "doc",
         [
             {"grid": {"N": 64}},
-            {"delta_grid": {"pts": 3}},
+            {"grid": {"maxrefinements": 3}},
             {"output": {"fmt": "csv"}},
             # The retired finite-difference engine's initial grid.
             {"grid": {"N0": 128}},
@@ -155,8 +143,8 @@ class TestConfig:
             {"grid": {"max_refinements": False}},
             {"grid": {"rel_tol": "1e-6"}},
             {"grid": [64]},
-            {"delta_grid": {"points": 7.0}},
-            {"delta_grid": {"max": float("inf")}},
+            {"grid": {"rel_tol": True}},
+            {"rel_slack_tol": [1e-8]},
             {"rel_slack_tol": None},
             {"output": {"path": 7}},
             {"output": {"format": ["csv"]}},
@@ -177,10 +165,7 @@ class TestConfig:
         for name, kind in (
             ("k_max", int),
             ("max_refinements", int),
-            ("delta_points", int),
             ("grid_rel_tol", float),
-            ("delta_min", float),
-            ("delta_max", float),
             ("rel_slack_tol", float),
             ("output_format", str),
         ):
@@ -215,13 +200,6 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             CampaignConfig.from_file(str(path))
-
-    def test_delta_grid_samples(self):
-        cfg = CampaignConfig(dims=(2,), apertures=(1.0,), delta_points=3)
-        grid = cfg.delta_grid()
-        assert len(grid) == 3
-        assert grid[0] == pytest.approx(1e-2)
-        assert grid[-1] == pytest.approx(1e2)
 
 
 class TestRunCampaign:
@@ -259,9 +237,16 @@ class TestRunCampaign:
         assert lemma[0]["slack"] > 0.0
 
     def test_dominance_minima_positive(self, mini_report):
+        # The family has no campaign rows (it holds by algebra); its least
+        # gap at each k of the case's spectrum is still positive.
         case = mini_report.cases[0]
-        assert set(case.dominance_min) == {1, 2}
-        assert all(v > 0.0 for v in case.dominance_min.values())
+        s = Spectrum(case.n, case.eigenvalues)
+        minima = {
+            k: min(gap for *_, gap in dominance_gap(s, k, s.values[k], default_delta_grid()))
+            for k in range(1, len(s.values))
+        }
+        assert set(minima) == {1, 2}
+        assert all(v > 0.0 for v in minima.values())
 
     def test_worst_slack_locates_a_check(self, mini_report):
         worst = mini_report.summary["worst"]
@@ -303,13 +288,6 @@ class TestRunCampaign:
         assert "generated_at" in with_ts
         del with_ts["generated_at"]
         assert with_ts == without
-
-    def test_overflowing_delta_raises_not_fails(self):
-        # delta^2 overflows wx13's rhs near the largest float: bad input,
-        # not two NaN rows counted as violations.
-        cfg = CampaignConfig(**{**MINI, "k_max": 2, "delta_max": 1.7976931348623157e308})
-        with pytest.raises(InvalidInput, match="wx13 at delta="):
-            run_campaign(cfg)
 
     def test_jobs_equivalence(self, two_cell_reports):
         serial, pooled = two_cell_reports
@@ -402,9 +380,8 @@ class TestSerialization:
     def test_csv_row_count(self, mini_report):
         text = report_to_csv(mini_report)
         rows = text.splitlines()[1:]
-        # 1 case-level + per k: 6 scalar checks + 50 wx13 + 50 dominance,
-        # for k = 1 and 2.
-        assert len(rows) == 1 + 2 * (6 + 50 + 50)
+        # 1 case-level + 6 checks per k, for k = 1 and 2.
+        assert len(rows) == 1 + 2 * 6
 
     def test_csv_holds_column_is_lowercase_bool(self, mini_report):
         rows = report_to_csv(mini_report).splitlines()[1:]
@@ -427,8 +404,7 @@ class TestSerialization:
         assert doc["config"]["grid"] == {"max_refinements": 8, "rel_tol": 1e-6}
         case = doc["cases"][0]
         assert list(case) == [
-            "n", "theta0", "eigenvalues", "meta", "bounds", "dominance_min", "checks",
-            "error", "error_type",
+            "n", "theta0", "eigenvalues", "meta", "bounds", "checks", "error", "error_type",
         ]
         assert set(case["meta"]) == {"N", "mode_cutoff"}
         assert all("delta_star" in b for b in case["bounds"])
@@ -468,12 +444,6 @@ _config_documents = st.fixed_dictionaries(
                 optional={k: _config_values for k in ("max_refinements", "rel_tol")},
             ),
         ),
-        "delta_grid": st.one_of(
-            _config_values,
-            st.fixed_dictionaries(
-                {}, optional={k: _config_values for k in ("min", "max", "points")}
-            ),
-        ),
         "rel_slack_tol": _config_values,
         "output": st.one_of(
             _config_values,
@@ -493,26 +463,17 @@ _positive = st.floats(min_value=0.0, exclude_min=True)
 
 @st.composite
 def _valid_config(draw) -> CampaignConfig:
-    window = st.lists(_positive.filter(math.isfinite), min_size=2, max_size=2, unique=True)
-    delta_min, delta_max = sorted(draw(window))
     aperture = st.floats(0.0, math.pi, exclude_min=True, exclude_max=True)
-    kwargs = dict(
+    return CampaignConfig(
         dims=tuple(draw(st.lists(st.integers(2, 60), min_size=1, max_size=4))),
         apertures=tuple(draw(st.lists(aperture, min_size=1, max_size=4))),
         k_max=draw(st.integers(1, 200)),
         max_refinements=draw(st.integers(1, 20)),
         grid_rel_tol=draw(_positive),
-        delta_min=delta_min,
-        delta_max=delta_max,
-        delta_points=draw(st.integers(1, 60)),
         rel_slack_tol=draw(_positive),
         output_path=draw(st.none() | st.text(max_size=8)),
         output_format=draw(st.sampled_from(["json", "csv"])),
     )
-    try:
-        return CampaignConfig(**kwargs)
-    except ConfigError:  # a window whose log-spaced samples overflow
-        assume(False)
 
 
 _scalars = st.one_of(
@@ -673,7 +634,7 @@ class TestCli:
 
     def test_bounds_default_candidate_exits_0(self, tmp_path, capsys):
         # At the default candidate (the quadratic upper bound, not an
-        # eigenvalue) thm14 and wx13 fail; that is no counterexample.
+        # eigenvalue) thm14 fails; that is no counterexample.
         spath = tmp_path / "s.json"
         spath.write_text(
             json.dumps({"n": 2, "eigenvalues": [14.699879062028382, 26.374177859854655]})
@@ -682,7 +643,7 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         failed = {c["inequality_id"] for c in doc["checks"] if not c["holds"]}
-        assert failed == {"thm14", "wx13"}
+        assert failed == {"thm14"}
         lam = repr(doc["upper_next"])
         code = cli.main(["bounds", "--spectrum", str(spath), "--k", "2", "--lambda-next", lam])
         assert code == 2
@@ -932,29 +893,30 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv,first",
         [
-            (["verify", "--config", "{cfg}", "--out", "{out}"], "wx13 at delta="),
             (["compare", "--spectrum", "{spec}", "--k", "2", "--lambda-next", "60",
               "--delta-max", "1.7976931348623157e308"], "wx13 at delta="),
             (["bounds", "--spectrum", "{spec}", "--k", "2", "--lambda-next", "1e110"],
              "thm14 is not finite"),
         ],
-        ids=["verify", "compare", "bounds"],
+        ids=["compare", "bounds"],
     )
     def test_overflowing_check_exits_4(self, tmp_path, capsys, argv, first):
         # An overflowed check is bad input, one error line, never a failed row.
-        paths = {
-            "cfg": _write_mini_config(
-                tmp_path, k_max=2, delta_grid={"max": 1.7976931348623157e308}
-            ),
-            "out": str(tmp_path / "report.json"),
-            "spec": str(tmp_path / "s.json"),
-        }
-        (tmp_path / "s.json").write_text(json.dumps({"n": 2, "eigenvalues": [2.0, 3.0]}))
-        assert cli.main([a.format(**paths) for a in argv]) == 4
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"n": 2, "eigenvalues": [2.0, 3.0]}))
+        assert cli.main([a.format(spec=spec) for a in argv]) == 4
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: " + first), err
-        assert not os.path.exists(paths["out"])
+
+    def test_config_with_delta_grid_exits_4(self, tmp_path, capsys):
+        # The campaign sweeps no deltas; the section that set its grid is
+        # now an unknown key, refused before anything runs.
+        cfg = _write_mini_config(tmp_path, delta_grid={"points": 7})
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 4
+        assert "unknown config keys: ['delta_grid']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "name,doc,argv",
