@@ -26,12 +26,16 @@ sin^{n-1}) L f and D = [sqrt(w sin^{n-1}) f'; sqrt(w sin^{n-1} mu) f / sin]
 With R_K and R_D the R factors of K and of the column-scaled D, the
 values are the squared singular values of the P x P upper triangular
 T = R_K R_D^{-1}, which has those of K R_D^{-1}; R_D^{-1} times T's
-right singular vectors are B-orthonormal coefficients. Each mode's basis
-size P grows by half until the top k values settle, and to at least
-2 w + 16 for the w values the mode kept. The basis is hierarchical and
-the factors are triangular, so T's leading P' x P' block is the T of the
-leading P' functions, P' being the size of the step before: each step is
-checked against its own leading blocks, and assembles each mode once.
+right singular vectors are B-orthonormal coefficients. A mode new to
+the sweep starts with a block of 2 w_1 + 16 functions inside a basis
+half as large again, for w_1 = min(ceil(k / mult), max(8, W)) values,
+W = ceil(k^(1/n) / 2): by Weyl's law the values a mode keeps grow like
+k^(1/n). Each mode's basis size P grows by half until the top k values
+settle, and to at least 2 w + 16 for the w values the mode kept. The
+basis is hierarchical and the factors are triangular, so T's leading
+P' x P' block is the T of the leading P' functions, P' being the size
+of the step before: each step is checked against its own leading
+blocks, and assembles each mode once.
 The ladder computes values alone (`_galerkin_mode` at width 0);
 singular vectors are computed only when the pairs are read. Ritz
 values are upper bounds in exact arithmetic only; at high n the basis is
@@ -95,10 +99,11 @@ PAIR_CELLS = 512
 MAX_REFINEMENTS = 8
 # solve_cap's default tolerance on the relative change of the top k values.
 REL_TOL = 1e-6
-# Candidates a mode's first block is sized for; later steps size it from
-# the values the mode kept, so at large k no mode starts at the
-# ceil(k / mult) values it could hold but does not.
-FIRST_WIDTH = 16
+# Fewest values a mode new to the sweep is first sized for, unless it can
+# keep fewer (`_first_width`). Past it the width follows Weyl's law; later
+# steps size each mode from the values it kept. A floor of 4 moves
+# lambda_k at (2, 3.1, 30) by 1e-9, of 6 by 4e-11.
+FIRST_WIDTH = 8
 # Merged (value, m, index) candidates, sorted, one entry per multiplicity copy.
 _Cand = list[tuple[float, int, int]]
 
@@ -136,18 +141,19 @@ def _sweep(
     """Solve modes m = 0, 1, ... until the k smallest merged values are safe.
 
     Mode m is solved (`_galerkin_mode`) at sizes[m] = (P, block), or, if
-    the sweep has not reached it before, at P = `_basis_size(cap, step +
-    1)` with block `_basis_size(cap, step)`. Every mode is assembled on
-    the step's one rule of Q = 2 P_step + 60 nodes, P_step being the
-    largest of the sizes and of a new mode's, mode 0's at cap = k. It
-    keeps its lowest cap = ceil(k / mult) values, and as many of its
-    block's values. Each value enters the candidates mult times, and the
-    sweep stops once a mode opens above the current k-th candidate
-    (`_closing_mode`). Returns ((P, block) of every mode solved, Q, the k
-    smallest (value, m, index) candidates sorted, the k smallest block
-    values sorted, mode cutoff).
+    the sweep has not reached it before, at P = `_basis_size(w, step + 1)`
+    with block `_basis_size(w, step)`, w = min(cap, `_first_width(k, n)`).
+    Every mode is assembled on the step's one rule of Q = 2 P_step + 60
+    nodes, P_step being the largest of the sizes and of a new mode's,
+    mode 0's at cap = k. It keeps its lowest cap = ceil(k / mult) values,
+    and as many of its block's values. Each value enters the candidates
+    mult times, and the sweep stops once a mode opens above the current
+    k-th candidate (`_closing_mode`). Returns ((P, block) of every mode
+    solved, Q, the k smallest (value, m, index) candidates sorted, the k
+    smallest block values sorted, mode cutoff).
     """
-    Q = 2 * max([_basis_size(k, step + 1), *(P for P, _ in sizes.values())]) + 60
+    first = _first_width(k, domain.n)
+    Q = 2 * max([_basis_size(min(k, first), step + 1), *(P for P, _ in sizes.values())]) + 60
     used: dict[int, tuple[int, int]] = {}
     cand: _Cand = []
     nested: list[float] = []
@@ -163,7 +169,8 @@ def _sweep(
         mult = harmonic_multiplicity(domain.n, m)
         cap = ceil(k / mult)
         copies = min(mult, k)
-        used[m] = sizes.get(m) or (_basis_size(cap, step + 1), _basis_size(cap, step))
+        width = min(cap, first)
+        used[m] = sizes.get(m) or (_basis_size(width, step + 1), _basis_size(width, step))
         vals, _, inner = _galerkin_mode(domain, m, *used[m], Q, width=0)
         lowest.append(float(vals[0]))
         for j, v in enumerate(vals[:cap].tolist()):
@@ -190,9 +197,10 @@ def solve_cap(
     blocks, the sizes of the step before, and every mode that kept w
     values has at least 2 w + 16 functions, within max_refinements steps;
     the finest step's Ritz values are reported. A mode new to the sweep
-    is checked at P' = 2 min(ceil(k / mult), FIRST_WIDTH) + 16 functions
-    inside a basis half as large again, and a mode that kept w values
-    grows to at least 2 w + 16.
+    is checked at P' = 2 w_1 + 16 functions inside a basis half as large
+    again, w_1 = min(ceil(k / mult), max(FIRST_WIDTH, ceil(k^(1/n) / 2)))
+    (`_first_width`), and a mode that kept w values grows to at least
+    2 w + 16.
 
     The pairs, one per value in the order of the spectrum, are a read-only
     sequence built on first read: `len`, indexing or iteration solves
@@ -366,14 +374,27 @@ def _gauss_legendre(Q: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _basis_size(cap: int, step: int) -> int:
+def _first_width(k: int, n: int) -> int:
+    """Most values a mode new to the sweep is first sized for: max(FIRST_WIDTH, W).
+
+    W is the least integer with (2W)^n >= k, ceil(k^(1/n) / 2) in exact
+    integer arithmetic. By Weyl's law the values below the k-th of a cap
+    on S^n grow like k^(1/n) per mode (0.6-0.9 sqrt(k) in mode 0 at n = 2).
+    """
+    w = FIRST_WIDTH
+    while (2 * w) ** n < k:
+        w += 1
+    return w
+
+
+def _basis_size(width: int, step: int) -> int:
     """Leading-block size of a mode new to the sweep at ladder step `step`.
 
-    The mode is solved at `_basis_size(cap, step + 1)` functions. The size
-    starts at 2 min(cap, FIRST_WIDTH) + 16 and grows by half (rounded up)
-    per step.
+    The mode is solved at `_basis_size(width, step + 1)` functions, width
+    being min(ceil(k / mult), `_first_width(k, n)`). The size starts at
+    2 width + 16 and grows by half (rounded up) per step.
     """
-    P = 2 * min(cap, FIRST_WIDTH) + 16
+    P = 2 * width + 16
     for _ in range(step):
         P = (3 * P + 1) // 2
     return P

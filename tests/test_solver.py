@@ -232,15 +232,40 @@ class TestSolveCap:
         spectrum, _ = solve_cap(CapDomain(2, 1.0), 3, max_refinements=2, rel_tol=1.0)
         assert spectrum.meta["N"] == 18
 
-    def test_spectral_basis_sized_from_k(self):
-        # The basis grows with k and ignores N0: a request far beyond what
-        # 16 cells once held converges, and every value is the exact cap
-        # value of its mode.
+    def test_spectral_basis_sized_from_k(self, monkeypatch):
+        # The basis grows with the values kept and ignores N0: a request far
+        # beyond what 16 cells once held converges, each used mode ends on
+        # at least 2 w + 16 functions for the w values it kept, and every
+        # value is the exact cap value of its mode.
+        final = {}
+        galerkin_mode = solver._galerkin_mode
+
+        def recorded(domain, m, P, block, *args, **kwargs):
+            final[m] = P
+            return galerkin_mode(domain, m, P, block, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_galerkin_mode", recorded)
         spectrum, pairs = solve_cap(CapDomain(2, 1.0), 15, N0=16)
-        assert spectrum.meta["N"] >= 2 * 15 + 16
+        kept = {m: len({p.value for p in pairs if p.m == m}) for m in {p.m for p in pairs}}
+        for m, w in kept.items():
+            assert final[m] >= 2 * w + 16
         for p in pairs:
             exact = oracles.cap_value(2, 1.0, p.m, p.value)
             assert abs(p.value - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize(
+        "n,k,want",
+        [
+            (2, 1, 8), (2, 30, 8), (2, 256, 8), (2, 257, 9), (2, 1000, 16), (2, 2000, 23),
+            (3, 30, 8), (3, 4096, 8), (3, 4097, 9), (50, 2000, 8), (2, 10**6, 500),
+        ],
+    )
+    def test_first_width_follows_weyl(self, n, k, want):
+        # max(8, W), W the least integer with (2W)^n >= k; at exact powers
+        # (16^2 = 256, 16^3 = 4096) a rounded float root would move it.
+        assert solver._first_width(k, n) == want
+        assert (2 * want) ** n >= k
+        assert want == solver.FIRST_WIDTH or (2 * want - 2) ** n < k
 
     def test_requires_positive_k(self):
         with pytest.raises(InvalidInput):
@@ -473,6 +498,54 @@ class TestSpectralEngine:
             for m in range(spectrum.meta["mode_cutoff"] + 1)
             for v in galerkin_mode(domain, m, 120, 80)[0][:k]
             for _ in range(harmonic_multiplicity(2, m))
+        )[:k]
+        for got, want in zip(spectrum.values, fixed):
+            assert abs(got - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize(
+        "n,k,first_P", [(2, 5, 39), (2, 30, 48), (2, 1000, 72), (50, 2000, 48)]
+    )
+    def test_first_rung_from_weyl_width(self, monkeypatch, n, k, first_P):
+        # Each mode's first solve is a block of 2 w_1 + 16 functions inside
+        # a basis half as large again, w_1 = min(ceil(k / mult), max(8, W)).
+        # At (2, 30) no mode keeps more than 4 values, so no first solve
+        # needs the 72 functions a 16-value block asked for; at (2, 1000)
+        # mode 0 keeps about 20, and its first 72-function solve holds
+        # them. Every case stops after one step.
+        first, taken = {}, []
+        galerkin_mode, ladder = solver._galerkin_mode, solver._ladder
+
+        def recorded(domain, m, P, block, *args, **kwargs):
+            first.setdefault(m, (P, block))
+            return galerkin_mode(domain, m, P, block, *args, **kwargs)
+
+        def counted(domain, k):
+            for s in ladder(domain, k):
+                taken.append(s)
+                yield s
+
+        monkeypatch.setattr(solver, "_galerkin_mode", recorded)
+        monkeypatch.setattr(solver, "_ladder", counted)
+        solve_cap(CapDomain(n, 1.0), k)
+        assert len(taken) == 1
+        assert max(P for P, _ in first.values()) == first[0][0] == first_P
+        for m, (P, block) in first.items():
+            w1 = min(math.ceil(k / harmonic_multiplicity(n, m)), solver._first_width(k, n))
+            assert (P, block) == ((3 * (2 * w1 + 16) + 1) // 2, 2 * w1 + 16)
+
+    @pytest.mark.parametrize("n,theta0,k", [(2, 3.1, 30), (4, 3.05, 20)])
+    def test_first_rung_floor_keeps_accuracy(self, n, theta0, k):
+        # Near the whole sphere the first rung's floor of 8 values holds the
+        # top k to 1.7e-12 at (2, 3.1, 30) and 1.8e-11 at (4, 3.05, 20) of
+        # fixed 120-function solves on 300-node rules; a floor of 4 is off
+        # by 1.0e-9 at (2, 3.1, 30).
+        domain = CapDomain(n, theta0)
+        spectrum, _ = solve_cap(domain, k)
+        fixed = sorted(
+            v
+            for m in range(spectrum.meta["mode_cutoff"] + 1)
+            for v in solver._galerkin_mode(domain, m, 120, 80, 300, width=0)[0][:k]
+            for _ in range(min(harmonic_multiplicity(n, m), k))
         )[:k]
         for got, want in zip(spectrum.values, fixed):
             assert abs(got - want) <= 1e-10 * want
