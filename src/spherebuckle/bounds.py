@@ -14,21 +14,21 @@ From these the averaged coefficients
 give the quadratic-root bounds lambda_{k+1} <= S + sqrt(S^2 - T),
 lambda_{k+1} - lambda_k <= 2 sqrt(S^2 - T), lambda_k >= S - sqrt(S^2 - T).
 build_report checks a candidate next eigenvalue against these three
-bounds, against the quadratic form they were solved from, against its
-Yang-type consequence and against the Chebyshev-type product
-rearrangement used to chain the first into the second: six checks.
+bounds, against the quadratic form they were solved from and against its
+Yang-type consequence: five checks.
 
-The one-parameter delta family the main bound dominates has no report
-rows: termwise and by AM-GM its rhs is at least the delta-free one for
-every delta, whatever the spectrum. wangxia_rhs and dominance_gap (the
-compare command's sweep) evaluate it on request.
+Two relations hold by algebra on every sorted admissible spectrum, so
+they have no report rows; the public functions evaluate them on request.
+The Chebyshev-type product rearrangement that chains the quadratic form
+into the Yang-type bound (chebyshev_check) is Chebyshev's weighted sum
+inequality. The one-parameter delta family the main bound dominates
+(wangxia_rhs, and dominance_gap, the compare command's sweep) has an rhs
+at least the delta-free one for every delta, termwise and by AM-GM.
 
 Every check is a short formula over a few sums of the gaps
 g_i = lambda_next - lambda_i. Those sums, and S and T, are evaluated once
 per (spectrum, k, lambda_next) into one record, _Sums; only the quadratic
-term of the delta family depends on delta. The family is evaluated as
-arrays: its terms as one delta-grid x k numpy broadcast, then one
-math.fsum per delta, then every side, slack and verdict as vectors. Sums
+term of the delta family depends on delta, one fsum per delta. Sums
 are accumulated with error-free compensated summation (math.fsum): slacks
 near saturation must not be swamped by rounding, and a correctly rounded
 sum does not depend on the order its terms arrive in. A sum that
@@ -41,11 +41,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
-from math import exp, fsum, inf, isfinite, log, sqrt
+from math import exp, fsum, inf, isfinite, log, nan, sqrt
 from typing import Any, Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import (
     AllGapsZero,
@@ -90,13 +87,11 @@ class BoundTerms:
     p: float
 
 
-def _scale(lhs: Any, rhs: Any) -> Any:
-    """max(|lhs|, |rhs|, 1): what a slack is relative to, elementwise on arrays.
+def _scale(lhs: float, rhs: float) -> float:
+    """max(|lhs|, |rhs|, 1): what a slack is relative to.
 
     Every tolerance and every relative slack the package reports uses it.
     """
-    if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
-        return np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     return max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -162,21 +157,6 @@ def _total(terms: Iterable[float]) -> float:
     if not isfinite(total):
         raise InvalidInput(f"a bound sum is not finite ({total!r})")
     return total
-
-
-def _fsums(rows: list[list[float]]) -> list[float]:
-    """fsum of each row; a sum past the largest float is inf, which a record refuses."""
-    try:
-        return list(map(fsum, rows))
-    except OverflowError:
-        pass
-    sums = []
-    for row in rows:
-        try:
-            sums.append(fsum(row))
-        except OverflowError:
-            sums.append(inf)
-    return sums
 
 
 def _coefficients(s: Spectrum, k: int) -> tuple[list[BoundTerms], float, float]:
@@ -247,55 +227,24 @@ class _Sums:
         return CheckRecord.make("chebyshev", lhs, rhs, rel_tol)
 
     def wx13(self, delta: float, rel_tol: float) -> CheckRecord:
-        return self.family([delta], rel_tol, dominance=False)[0][0]
+        """The formula documented on wangxia_rhs; its quadratic sum is one fsum.
 
-    def family(
-        self, grid: Sequence[float], rel_tol: float, dominance: bool = True
-    ) -> list[tuple[CheckRecord, ...]]:
-        """(wx13, dominance) per delta, or (wx13,) without dominance, evaluated as arrays.
-
-        wx13 is the formula documented on wangxia_rhs; dominance compares
-        its rhs with the delta-free rhs (dominance_gap). The terms are one
-        grid x k broadcast in the scalar formula's operation order, so each
-        is the same double; each delta's quadratic sum is one fsum. Errors
-        are those of the deltas taken in grid order: the first delta that
-        is not positive, or the first non-finite record, raises.
+        A sum past the largest float is inf, which CheckRecord.make refuses
+        under this row's name.
         """
-        if not grid:
-            raise InvalidInput("delta grid is empty")
-        d = np.asarray(grid, dtype=float)
-        positive = d > 0.0
-        # Deltas past the first one that is not positive are never reached.
-        stop = len(d) if positive.all() else int(np.argmin(positive))
+        if not delta > 0.0:
+            raise InvalidDelta(f"delta must be positive, got {delta!r}")
         c = float(self.n - 2)
-        g, lam, dd = np.array(self.gaps), np.array(self.lams), d[:stop, None]
-        ids = ("wx13", "dominance")[: 1 + dominance]
-        lhss = (2.0 * self.g2, -self.corr + self.thm_rhs)[: len(ids)]
-        lhs = np.array(lhss)[:, None]  # one row per id, one column per delta
-        with np.errstate(all="ignore"):
-            terms = g * g * (dd * lam + dd * dd * (lam - c) / (4.0 * (dd * lam + c)))
-            rhs = np.array(_fsums(terms.tolist())) + self.gp / d[:stop]
-            slack = rhs - lhs
-            tol = rel_tol * _scale(lhs, rhs)
-            holds = slack >= -tol
-            finite = np.isfinite(rhs) & np.isfinite(slack).all(axis=0) & np.isfinite(lhs).all()
-        first = stop if finite.all() else int(np.argmin(finite))
-        if first < len(d):
-            if first == stop:
-                raise InvalidDelta(f"delta must be positive, got {grid[first]!r}")
-            for iid, side in zip(ids, lhss):  # the record that make refuses names the side
-                CheckRecord.make(iid, side, float(rhs[first]), rel_tol, delta=grid[first])
-        sides = rhs.tolist()
-        # tuple.__new__(CheckRecord, fields) is CheckRecord._make(fields) less its length check.
-        records = (
-            map(
-                tuple.__new__,
-                repeat(CheckRecord),
-                zip(repeat(iid), repeat(side), sides, sl, ho, grid),
+        try:
+            quad = fsum(
+                g * g * (delta * lam + delta * delta * (lam - c) / (4.0 * (delta * lam + c)))
+                for g, lam in zip(self.gaps, self.lams)
             )
-            for iid, side, sl, ho in zip(ids, lhss, slack.tolist(), holds.tolist())
-        )
-        return list(zip(*records))
+        except OverflowError:
+            quad = inf
+        except ZeroDivisionError:  # delta lam + c underflowed to 0 at n = 2: 0/0
+            quad = nan
+        return CheckRecord.make("wx13", 2.0 * self.g2, quad + self.gp / delta, rel_tol, delta)
 
     def optimal_delta(self) -> tuple[float, float]:
         sw, sp = self.g2w, self.gp
@@ -406,10 +355,19 @@ def dominance_gap(
               + 2 sqrt(sum gap_i^2 w_i) sqrt(sum gap_i p_i)
 
     Returns (delta, wx_rhs, new_rhs, gap) per grid point; the dominance claim
-    is gap >= 0 for every delta.
+    is gap >= 0 for every delta. Deltas are taken in grid order, so the first
+    one that is not positive, or the first non-finite row, decides the error.
     """
-    family = _sums(s, k, lambda_next).family(delta_grid, rel_tol)
-    return [(wx.delta, wx.rhs, dom.lhs, dom.slack) for wx, dom in family]
+    r = _sums(s, k, lambda_next)
+    if not delta_grid:
+        raise InvalidInput("delta grid is empty")
+    new_rhs = -r.corr + r.thm_rhs
+    rows = []
+    for delta in delta_grid:
+        wx = r.wx13(delta, rel_tol)
+        gap = CheckRecord.make("dominance", new_rhs, wx.rhs, rel_tol, delta).slack
+        rows.append((delta, wx.rhs, new_rhs, gap))
+    return rows
 
 
 def chebyshev_check(
@@ -446,7 +404,7 @@ def build_report(
     rel_tol: float = DEFAULT_REL_TOL,
     theta0: float | None = None,
 ) -> BoundReport:
-    """Evaluate every bound and the six delta-free checks for one (spectrum, k).
+    """Evaluate every bound and the five delta-free checks for one (spectrum, k).
 
     When lambda_next is omitted the quadratic upper bound itself is used as
     the candidate, which exercises the inequalities at their saturation
@@ -461,7 +419,6 @@ def build_report(
         CheckRecord.make("upper16", r.lambda_next, upper, rel_tol),
         CheckRecord.make("gap17", r.lambda_next - lam_k, gap_up, rel_tol),
         CheckRecord.make("lower216", lower, lam_k, rel_tol),
-        r.chebyshev(rel_tol),
     )
     try:
         delta_star = r.optimal_delta()[0]

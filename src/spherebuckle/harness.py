@@ -2,12 +2,12 @@
 
 A campaign solves each cap, then checks the computed spectrum: the
 quadratic upper bound and its consequences at each truncation depth (the
-six checks of bounds.build_report, with the closed-form delta minimizer
-recorded beside them) and the first-eigenvalue floor. The one-parameter
-delta family is not checked here: it holds by algebra whatever the
-spectrum (see bounds). Results are flat check records with a
-deterministic ordering, serialized to JSON (full report) or CSV (fixed
-columns).
+five checks of bounds.build_report, with the closed-form delta minimizer
+recorded beside them) and the first-eigenvalue floor. The Chebyshev-type
+rearrangement and the one-parameter delta family are not checked here:
+they hold by algebra whatever the spectrum (see bounds). Results are
+flat check records with a deterministic ordering, serialized to JSON
+(full report) or CSV (fixed columns).
 
 A failed check whose slack is within the grid-refinement tolerance of
 zero is labeled inconclusive rather than violated: discretization error
@@ -24,10 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import repeat
-from operator import itemgetter
 from typing import Any
-
-import numpy as np
 
 from .bounds import CheckRecord, _bounds_doc, _scale, build_report
 from .errors import ConfigError, SphereBuckleError
@@ -231,7 +228,6 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
     # over caps, so every cap must sit above the dimension.
     records = [CheckRecord.make("lemma21", float(n), spectrum.values[0], tol)]
     ks: list[int | None] = [None]
-    exact: list[bool] = [False]
 
     for k in range(1, cfg.k_max):
         lam_next = spectrum.values[k]
@@ -239,8 +235,6 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
         reports.append(_bounds_doc(rep))
         records += rep.checks
         ks += repeat(k, len(rep.checks))
-        skip = _by_construction(k, spectrum.values)
-        exact += [rec.inequality_id in skip for rec in rep.checks]
 
     checks = tuple(map(_check_dict, records, ks, repeat(cfg.grid_rel_tol)))
     return CaseResult(
@@ -250,23 +244,8 @@ def run_case(cfg: CampaignConfig, n: int, theta0: float) -> CaseResult:
         meta=dict(spectrum.meta),
         reports=tuple(reports),
         checks=checks,
-        tally=_tally(n, theta0, records, ks, exact, checks),
+        tally=_tally(n, theta0, records, ks, checks),
     )
-
-
-def _by_construction(k: int, values: tuple[float, ...]) -> frozenset[str]:
-    """The checks at depth k that are equalities by construction on this spectrum.
-
-    Their slack is rounding noise, so they are left out of the summary's
-    worst margin. At k = 1 the lower216 root is lambda_1 itself;
-    chebyshev's two products agree term by term when at most one gap
-    lambda_{k+1} - lambda_i is nonzero, that is when lambda_2 = lambda_{k+1}
-    (always at k = 1).
-    """
-    ids = {"lower216"} if k == 1 else set()
-    if values[1] == values[k]:
-        ids.add("chebyshev")
-    return frozenset(ids)
 
 
 def _tally(
@@ -274,37 +253,32 @@ def _tally(
     theta0: float,
     records: list[CheckRecord],
     ks: list[int | None],
-    exact: list[bool],
     checks: tuple[dict[str, Any], ...],
 ) -> dict[str, Any]:
     """One case's share of the campaign summary: its check counts and worst margin.
 
     worst is the first check with the smallest relative slack, slack over
-    bounds._scale(lhs, rhs), among those that are not equalities by
-    construction (exact), or None when every check is one.
+    bounds._scale(lhs, rhs). The k = 1 lower216 row is left out: its root
+    is lambda_1 itself, so its slack is rounding noise.
     """
     statuses = [c["status"] for c in checks]
-    lhs, rhs, slack = (
-        np.fromiter(map(itemgetter(i), records), dtype=float, count=len(records))
-        for i in (1, 2, 3)
+    rel, i = min(
+        (rec.slack / _scale(rec.lhs, rec.rhs), i)
+        for i, (rec, k) in enumerate(zip(records, ks))
+        if not (k == 1 and rec.inequality_id == "lower216")
     )
-    rel = np.where(exact, math.inf, slack / _scale(lhs, rhs))
-    i = int(np.argmin(rel))
-    worst = None
-    if rel[i] < math.inf:
-        worst = {
-            "rel_slack": float(rel[i]),
+    return {
+        "checks": len(checks),
+        "failures": len(statuses) - statuses.count("ok"),
+        "inconclusive": statuses.count(INCONCLUSIVE),
+        "worst": {
+            "rel_slack": rel,
             "slack": records[i].slack,
             "n": n,
             "theta0": theta0,
             "k": ks[i],
             "inequality_id": records[i].inequality_id,
-        }
-    return {
-        "checks": len(checks),
-        "failures": len(statuses) - statuses.count("ok"),
-        "inconclusive": statuses.count(INCONCLUSIVE),
-        "worst": worst,
+        },
     }
 
 
@@ -343,9 +317,7 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignReport:
         failures += tally["failures"]
         inconclusive += tally["inconclusive"]
         # Strictly smaller, so the first of equal minima wins, as in each case.
-        if tally["worst"] is not None and (
-            worst is None or tally["worst"]["rel_slack"] < worst["rel_slack"]
-        ):
+        if worst is None or tally["worst"]["rel_slack"] < worst["rel_slack"]:
             worst = tally["worst"]
     summary = {
         "cases": len(results),

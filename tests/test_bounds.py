@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spherebuckle import bounds
 from spherebuckle.bounds import (
     BoundTerms,
     CheckRecord,
@@ -45,6 +44,32 @@ def spectra(min_k=1, max_k=6):
             st.floats(n, n + 100.0), min_size=min_k, max_size=max_k
         ).map(lambda v: Spectrum(n, tuple(sorted(v))))
     )
+
+
+# Admissible sequences over the dimensions and scales the paper covers:
+# k + 1 values lambda_i = (n - 2) + scale * u_i, scale from 1e-8 to 1e5.
+@st.composite
+def _admissible(draw):
+    n = draw(st.sampled_from((2, 3, 4, 5, 10, 20, 50)))
+    k = draw(st.integers(1, 12))
+    scale = 10.0 ** draw(st.floats(-8.0, 5.0))
+    u = draw(st.lists(st.floats(1e-3, 1.0), min_size=k + 1, max_size=k + 1))
+    vals = sorted(n - 2 + scale * x for x in u)
+    assume(vals[0] > n - 2)
+    return Spectrum(n, tuple(vals)), k
+
+
+# (s, k, lambda_next) with lambda_next >= lambda_k: a spectra() draw with
+# lambda_next = lambda_k + bump, or an _admissible() draw with
+# lambda_next = lambda_k (1 + stretch).
+def sorted_with_next():
+    near = st.tuples(spectra(min_k=2), st.floats(0.0, 50.0)).map(
+        lambda sb: (sb[0], len(sb[0].values) - 1, sb[0].values[-1] + sb[1])
+    )
+    scaled = st.tuples(_admissible(), st.floats(0.0, 10.0)).map(
+        lambda a: (a[0][0], a[0][1], a[0][0].values[a[0][1]] * (1.0 + a[1]))
+    )
+    return st.one_of(near, scaled)
 
 
 class TestBoundTerms:
@@ -181,12 +206,12 @@ class TestCheckYang:
         r = check_yang(spec(4, 4), 1, 4.0)
         assert r.lhs == 0.0 and r.rhs == 0.0 and r.holds
 
-    @given(spectra(min_k=2), st.floats(0.0, 50.0))
-    @settings(max_examples=120)
-    def test_implied_by_theorem(self, s, bump):
-        # Whenever the quadratic inequality holds, the Yang-type one follows.
-        k = len(s.values) - 1
-        lam_next = s.values[k] + bump
+    @given(sorted_with_next())
+    @settings(max_examples=300, deadline=None)
+    def test_implied_by_theorem(self, inputs):
+        # Whenever the quadratic inequality holds, the Yang-type one follows,
+        # through the rearrangement TestChebyshev documents.
+        s, k, lam_next = inputs
         thm = check_theorem(s, k, lam_next)
         yang = check_yang(s, k, lam_next)
         if thm.slack >= 0:
@@ -297,19 +322,6 @@ class TestDominance:
             assert gap >= -1e-10 * max(abs(wx), abs(new), 1.0)
 
 
-# Admissible sequences over the dimensions and scales the paper covers:
-# k + 1 values lambda_i = (n - 2) + scale * u_i, scale from 1e-8 to 1e5.
-@st.composite
-def _admissible(draw):
-    n = draw(st.sampled_from((2, 3, 4, 5, 10, 20, 50)))
-    k = draw(st.integers(1, 12))
-    scale = 10.0 ** draw(st.floats(-8.0, 5.0))
-    u = draw(st.lists(st.floats(1e-3, 1.0), min_size=k + 1, max_size=k + 1))
-    vals = sorted(n - 2 + scale * x for x in u)
-    assume(vals[0] > n - 2)
-    return Spectrum(n, tuple(vals)), k
-
-
 class TestDominanceByAlgebra:
     """Why the delta family has no report rows: it holds whatever the spectrum.
 
@@ -340,9 +352,8 @@ def _record(iid, lhs, rhs, rel_tol, delta):
 
 
 def _scalar_family(s, k, lam_next, grid, rel_tol):
-    """(wx13, dominance) per delta, one delta at a time, from the scalar
-    formulas documented on wangxia_rhs and dominance_gap: the oracle for
-    the array evaluation."""
+    """(wx13, dominance) per delta, from the formulas documented on
+    wangxia_rhs and dominance_gap, written out here: the oracle for both."""
     n, lams = s.n, s.values[:k]
     c = float(n - 2)
     gaps = [lam_next - lam for lam in lams]
@@ -375,7 +386,7 @@ def _family_inputs(draw):
 
 
 class TestArrayFamily:
-    """The delta family is evaluated as arrays; it must give the scalar formula's records."""
+    """The delta family's public functions must give the written-out formula's records."""
 
     @given(_family_inputs())
     @settings(max_examples=200, deadline=None)
@@ -383,14 +394,12 @@ class TestArrayFamily:
         s, k, grid, rel_tol = inputs
         ln = s.values[k]
         want = _scalar_family(s, k, ln, grid, rel_tol)
-        got = [rec for pair in bounds._sums(s, k, ln).family(grid, rel_tol) for rec in pair]
-        assert got == want
-        # Bit for bit: repr tells -0.0 from 0.0, which == does not.
-        assert repr(got) == repr(want)
         singles = [wangxia_rhs(s, k, ln, d, rel_tol) for d in grid]
+        assert singles == want[::2]
+        # Bit for bit: repr tells -0.0 from 0.0, which == does not.
         assert repr(singles) == repr(want[::2])
         gaps = dominance_gap(s, k, ln, grid, rel_tol)
-        assert gaps == [(d.delta, d.rhs, d.lhs, d.slack) for d in want[1::2]]
+        assert repr(gaps) == repr([(d.delta, d.rhs, d.lhs, d.slack) for d in want[1::2]])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_bad_delta_mid_grid(self, bad):
@@ -419,6 +428,19 @@ class TestArrayFamily:
 
 
 class TestChebyshev:
+    """Why chebyshev has no report rows: it holds on every sorted admissible spectrum.
+
+    Take weights nu_i = g_i p_i >= 0, a_i = g_i / p_i and b_i = w_i, with
+    c = n - 2. As lambda_i grows, g_i = lambda_next - lambda_i falls and
+    p_i > 0 grows, so a does not increase; b does, as w' = 1 + c / (lam - c)^2
+    > 0. Chebyshev's weighted sum inequality for oppositely ordered
+    sequences (Hardy, Littlewood & Polya, Inequalities, 2.17) gives
+    (sum nu)(sum nu a b) <= (sum nu a)(sum nu b), which is
+    (sum g p)(sum g^2 w) <= (sum g^2)(sum g w p). It is the step that takes
+    thm14 to yang15: as 2 + c / (lam - c) >= 2, thm14 gives
+    (sum g^2)^2 <= (sum g^2 w)(sum g p) <= (sum g^2)(sum g w p).
+    """
+
     def test_k1_equality(self):
         r = chebyshev_check(spec(3, 3), 1, 5.0)
         assert math.isclose(r.lhs, r.rhs, rel_tol=1e-15)
@@ -433,11 +455,10 @@ class TestChebyshev:
         r = chebyshev_check(spec(2, 2, 2), 2, 2.0)
         assert r.lhs == 0.0 and r.rhs == 0.0 and r.holds
 
-    @given(spectra(min_k=2), st.floats(0.0, 50.0))
-    @settings(max_examples=100)
-    def test_always_holds_for_sorted(self, s, bump):
-        k = len(s.values) - 1
-        r = chebyshev_check(s, k, s.values[k] + bump)
+    @given(sorted_with_next())
+    @settings(max_examples=300, deadline=None)
+    def test_always_holds_for_sorted(self, inputs):
+        r = chebyshev_check(*inputs)
         assert r.slack >= -1e-10 * max(abs(r.lhs), abs(r.rhs), 1.0)
 
 
@@ -515,6 +536,10 @@ class TestRecordsAndReport:
             dominance_gap(s, 1, 9.0, [1.0, big])
         with pytest.raises(InvalidInput, match="wx13 at delta="):
             dominance_gap(s, 1, 9.0, [big])
+        # At the other end, delta lam + (n - 2) underflows to 0 at n = 2, and
+        # the term is 0/0: a NaN side, refused the same way.
+        with pytest.raises(InvalidInput, match="wx13 at delta=5e-324 is not finite: .* rhs=nan"):
+            dominance_gap(spec(2, 0.3, 0.4), 1, 0.4, [1.0, 5e-324])
 
     def test_huge_candidate_raises(self):
         # At lambda_next = 1e110 the product under thm14's root overflows:
@@ -548,7 +573,6 @@ class TestRecordsAndReport:
             CheckRecord.make("upper16", ln, upper),
             CheckRecord.make("gap17", ln - s.values[k - 1], gap),
             CheckRecord.make("lower216", lower, s.values[k - 1]),
-            chebyshev_check(s, k, ln),
         ]
         assert list(rep.checks) == expect
 
@@ -562,8 +586,8 @@ class TestRecordsAndReport:
             "upper16",
             "gap17",
             "lower216",
-            "chebyshev",
         }
         assert rep.delta_star == 0.5
-        # The delta family holds by algebra and has no rows (TestDominanceByAlgebra).
-        assert len(rep.checks) == 6 and all(c.delta is None for c in rep.checks)
+        # chebyshev and the delta family hold by algebra and have no rows
+        # (TestChebyshev, TestDominanceByAlgebra).
+        assert len(rep.checks) == 5 and all(c.delta is None for c in rep.checks)

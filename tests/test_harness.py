@@ -35,7 +35,6 @@ CHECK_IDS = {
     "upper16",
     "gap17",
     "lower216",
-    "chebyshev",
     "lemma21",
 }
 
@@ -254,10 +253,10 @@ class TestRunCampaign:
         assert worst["rel_slack"] >= -1e-10
 
     def test_worst_skips_equalities_by_construction(self, mini_report):
-        # The k = 1 lower216 and chebyshev rows hold with equality up to
-        # rounding; worst names a real margin.
+        # The k = 1 lower216 row holds with equality up to rounding; worst
+        # names a real margin.
         worst = mini_report.summary["worst"]
-        assert not (worst["inequality_id"] in {"lower216", "chebyshev"} and worst["k"] == 1)
+        assert not (worst["inequality_id"] == "lower216" and worst["k"] == 1)
         assert worst["rel_slack"] > 1e-6
 
     def test_solver_failure_recorded_not_fatal(self):
@@ -380,8 +379,8 @@ class TestSerialization:
     def test_csv_row_count(self, mini_report):
         text = report_to_csv(mini_report)
         rows = text.splitlines()[1:]
-        # 1 case-level + 6 checks per k, for k = 1 and 2.
-        assert len(rows) == 1 + 2 * 6
+        # 1 case-level + 5 checks per k, for k = 1 and 2.
+        assert len(rows) == 1 + 2 * 5
 
     def test_csv_holds_column_is_lowercase_bool(self, mini_report):
         rows = report_to_csv(mini_report).splitlines()[1:]
