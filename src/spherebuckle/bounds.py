@@ -57,6 +57,7 @@ from .spectrum import Spectrum, _first
 
 __all__ = [
     "DEFAULT_REL_TOL",
+    "MAX_DELTA_POINTS",
     "BoundTerms",
     "CheckRecord",
     "BoundReport",
@@ -77,6 +78,9 @@ __all__ = [
 # All checked quantities are O(lambda^2 k); a relative tolerance anchored at
 # max(|lhs|, |rhs|, 1) behaves uniformly across scales.
 DEFAULT_REL_TOL = 1e-10
+# Most samples a delta grid may ask for: the grid is a list, 2e8 of them
+# would take several GB.
+MAX_DELTA_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -383,11 +387,16 @@ def chebyshev_check(
 def default_delta_grid(
     lo: float = 1e-2, hi: float = 1e2, points: int = 50
 ) -> list[float]:
-    """Log-spaced delta samples; the default window brackets delta* ~ 1/sqrt(lambda)."""
+    """Log-spaced delta samples, at most MAX_DELTA_POINTS of them.
+
+    The default window brackets delta* ~ 1/sqrt(lambda).
+    """
     if not (0.0 < lo < hi < inf and points >= 1):
         raise InvalidInput(
             f"delta grid needs 0 < min < max < inf and points >= 1, got ({lo}, {hi}, {points})"
         )
+    if points > MAX_DELTA_POINTS:
+        raise InvalidInput(f"delta grid needs at most {MAX_DELTA_POINTS} points, got {points}")
     if points == 1:
         return [lo]
     la, lb = log(lo), log(hi)

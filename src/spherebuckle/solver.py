@@ -46,8 +46,8 @@ are. `_ladder` yields these steps, each with its change from its blocks;
 solver needs numpy alone.
 
 Each ladder step builds one Gauss-Legendre rule (`_gauss_legendre`), on
-Q = 2 P_step + 60 nodes for the step's largest basis P_step, so every
-mode has at least 2P + 60 nodes. The rule comes from Newton's method on
+Q = 2 P_step nodes for the step's largest basis P_step, so every mode
+has at least 2P nodes. The rule comes from Newton's method on
 the three-term Legendre recurrence, started at Tricomi's asymptotic
 nodes (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013). That costs
 O(Q^2) per rule, where numpy's `leggauss`, an eigenvalue solve, costs
@@ -143,17 +143,17 @@ def _sweep(
     Mode m is solved (`_galerkin_mode`) at sizes[m] = (P, block), or, if
     the sweep has not reached it before, at P = `_basis_size(w, step + 1)`
     with block `_basis_size(w, step)`, w = min(cap, `_first_width(k, n)`).
-    Every mode is assembled on the step's one rule of Q = 2 P_step + 60
-    nodes, P_step being the largest of the sizes and of a new mode's,
-    mode 0's at cap = k. It keeps its lowest cap = ceil(k / mult) values,
-    and as many of its block's values. Each value enters the candidates
-    mult times, and the sweep stops once a mode opens above the current
-    k-th candidate (`_closing_mode`). Returns ((P, block) of every mode
-    solved, Q, the k smallest (value, m, index) candidates sorted, the k
-    smallest block values sorted, mode cutoff).
+    Every mode is assembled on the step's one rule of Q = 2 P_step nodes,
+    P_step being the largest of the sizes and of a new mode's, mode 0's at
+    cap = k. It keeps its lowest cap = ceil(k / mult) values, and as many
+    of its block's values. Each value enters the candidates mult times,
+    and the sweep stops once a mode opens above the current k-th candidate
+    (`_closing_mode`). Returns ((P, block) of every mode solved, Q, the k
+    smallest (value, m, index) candidates sorted, the k smallest block
+    values sorted, mode cutoff).
     """
     first = _first_width(k, domain.n)
-    Q = 2 * max([_basis_size(min(k, first), step + 1), *(P for P, _ in sizes.values())]) + 60
+    Q = 2 * max([_basis_size(min(k, first), step + 1), *(P for P, _ in sizes.values())])
     used: dict[int, tuple[int, int]] = {}
     cand: _Cand = []
     nested: list[float] = []
@@ -275,13 +275,13 @@ def assemble_mode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin factors (K, D) of mode m in its first P basis functions.
 
-    Under Gauss-Legendre quadrature on Q nodes, 2P + 60 unless given,
-    A = K^T K and B = D^T D, with one row per node (D stacks the gradient
-    rows over the mu f^2 / sin^2 rows) and one column per basis function.
-    The ladder passes its step's Q, at least 2P + 60.
+    Under Gauss-Legendre quadrature on Q nodes, 2P unless given, A = K^T K
+    and B = D^T D, with one row per node (D stacks the gradient rows over
+    the mu f^2 / sin^2 rows) and one column per basis function. The ladder
+    passes its step's Q, at least 2P.
     """
     n, theta0 = domain.n, domain.theta0
-    x, w = _gauss_legendre(2 * P + 60 if Q is None else Q)
+    x, w = _gauss_legendre(2 * P if Q is None else Q)
     w = theta0 * w
     mu = angular_eigenvalue(m, n)
     th = theta0 * x

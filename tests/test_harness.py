@@ -1006,6 +1006,24 @@ class TestCli:
         assert out == ""
         assert "delta grid" in err
 
+    def test_compare_too_many_delta_points_exits_4(self, tmp_path, capsys):
+        # The grid is refused before it is built: 2e8 samples would be a
+        # list of several GB.
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps({"n": 2, "eigenvalues": [2.0, 3.0]}))
+        code = cli.main(
+            [
+                "compare", "--spectrum", str(spath), "--k", "2",
+                "--lambda-next", "16", "--delta-points", "200000000",
+            ]
+        )
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: delta grid needs at most 1000000 points, got 200000000"
+        ], err
+
     @pytest.mark.parametrize(
         "argv",
         [

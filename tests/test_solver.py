@@ -31,6 +31,19 @@ def _dense_values(domain, m, P, count):
     return np.linalg.eigvalsh(Linv @ (K.T @ K) @ Linv.T)[:count]
 
 
+def _record_steps(monkeypatch):
+    """Patch solver._ladder to record each step it yields; returns the record."""
+    steps, ladder = [], solver._ladder
+
+    def counted(domain, k):
+        for s in ladder(domain, k):
+            steps.append(s)
+            yield s
+
+    monkeypatch.setattr(solver, "_ladder", counted)
+    return steps
+
+
 class TestOracleSelfChecks:
     def test_bessel_zeros_frozen(self):
         assert oracles.bessel_first_zero(1.0) == oracles.J_1_1
@@ -119,7 +132,7 @@ class TestAssembleMode:
         # basis function; A = K^T K is semidefinite and B = D^T D definite.
         P = 48
         K, D = assemble_mode(CapDomain(n, theta0), m, P)
-        assert K.shape == (2 * P + 60, P) and D.shape == (2 * (2 * P + 60), P)
+        assert K.shape == (2 * P, P) and D.shape == (4 * P, P)
         A, B = K.T @ K, D.T @ D
         assert np.abs(A - A.T).max() <= 1e-14 * np.abs(A).max()
         assert np.abs(B - B.T).max() <= 1e-14 * np.abs(B).max()
@@ -308,26 +321,20 @@ class TestSolveCap:
     def test_pairs_sampled_once_on_first_read(self, monkeypatch, n, theta0, k):
         # The pairs are _pairs on the ladder's final step, run by the first
         # read alone; the step holds each used mode's (P, Q, w), no coefficients.
-        steps, calls = [], []
-        ladder, pairs_of = solver._ladder, solver._pairs
-
-        def recorded(domain, k):
-            for s in ladder(domain, k):
-                steps[:] = [s]
-                yield s
+        calls, pairs_of = [], solver._pairs
+        steps = _record_steps(monkeypatch)
 
         def counted(*args):
             calls.append(None)
             return pairs_of(*args)
 
-        monkeypatch.setattr(solver, "_ladder", recorded)
         monkeypatch.setattr(solver, "_pairs", counted)
         domain = CapDomain(n, theta0)
         _, pairs = solve_cap(domain, k)
         assert calls == []
         assert len(pairs) == k
         assert len(calls) == 1
-        final = steps.pop()
+        final = steps[-1]
         want = pairs_of(domain, final.cand, final.bases)
         assert pairs[-1] == want[-1] and pairs[-k] == want[0]
         assert list(pairs) == want
@@ -415,7 +422,7 @@ class TestSpectralEngine:
     def test_coefficients_b_orthonormal(self):
         domain, m, P = CapDomain(3, 2.0), 2, 30
         vals, C, _ = solver._galerkin_mode(domain, m, P, 20)
-        x, w = solver._gauss_legendre(2 * P + 60)
+        x, w = solver._gauss_legendre(2 * P)  # the rule the solve used
         th = domain.theta0 * x
         f, f1, _ = solver._jacobi_basis(P, m, domain.n, x, domain.theta0)
         weight = domain.theta0 * w * np.sin(th) ** 2
@@ -512,20 +519,14 @@ class TestSpectralEngine:
         # needs the 72 functions a 16-value block asked for; at (2, 1000)
         # mode 0 keeps about 20, and its first 72-function solve holds
         # them. Every case stops after one step.
-        first, taken = {}, []
-        galerkin_mode, ladder = solver._galerkin_mode, solver._ladder
+        first, galerkin_mode = {}, solver._galerkin_mode
 
         def recorded(domain, m, P, block, *args, **kwargs):
             first.setdefault(m, (P, block))
             return galerkin_mode(domain, m, P, block, *args, **kwargs)
 
-        def counted(domain, k):
-            for s in ladder(domain, k):
-                taken.append(s)
-                yield s
-
         monkeypatch.setattr(solver, "_galerkin_mode", recorded)
-        monkeypatch.setattr(solver, "_ladder", counted)
+        taken = _record_steps(monkeypatch)
         solve_cap(CapDomain(n, 1.0), k)
         assert len(taken) == 1
         assert max(P for P, _ in first.values()) == first[0][0] == first_P
@@ -610,33 +611,58 @@ class TestSpectralEngine:
 
     @pytest.mark.parametrize("n,theta0,k", [(3, 1.0, 30), (2, 3.14, 10)])
     def test_one_quadrature_rule_per_ladder_step(self, monkeypatch, n, theta0, k):
-        # Every mode of a step is assembled on the step's one rule, which
-        # has at least 2P + 60 nodes for each of them: a fresh rule cache
-        # misses once per step (one step at (3, 1.0, 30), five near the
-        # whole sphere).
-        steps, rules = [], []
-        ladder, assemble = solver._ladder, solver.assemble_mode
-
-        def counted(domain, k):
-            for s in ladder(domain, k):
-                steps.append(s)
-                yield s
+        # Every mode of a step is assembled on the step's one rule, of
+        # 2 P_step nodes for the step's largest basis P_step, so at least 2P
+        # for each of them: a fresh rule cache misses once per step (one
+        # step at (3, 1.0, 30), five near the whole sphere).
+        rules, assemble = [], solver.assemble_mode
+        steps = _record_steps(monkeypatch)
 
         def recorded(domain, m, P, Q=None):
             rules.append((len(steps), P, Q))
             return assemble(domain, m, P, Q)
 
-        monkeypatch.setattr(solver, "_ladder", counted)
         monkeypatch.setattr(solver, "assemble_mode", recorded)
         solver._gauss_legendre.cache_clear()
         solve_cap(CapDomain(n, theta0), k)
         assert len(steps) == (1 if theta0 < 3 else 5)
         assert solver._gauss_legendre.cache_info().misses == len(steps)
-        per_step = {}
+        per_step, largest = {}, {}
         for step, P, Q in rules:
             per_step.setdefault(step, set()).add(Q)
-            assert Q >= 2 * P + 60
+            largest[step] = max(largest.get(step, 0), P)
+            assert Q >= 2 * P
         assert all(len(qs) == 1 for qs in per_step.values()) and len(per_step) == len(steps)
+        assert all(per_step[step] == {2 * P} for step, P in largest.items())
+
+    @pytest.mark.parametrize(
+        "n,theta0,k,bound",
+        [
+            (3, 1.0, 30, 1e-13),
+            (2, 3.0, 10, 1e-13),
+            (2, 3.1, 30, 1e-13),
+            (4, 3.05, 20, 1e-13),
+            (2, 2.0, 1000, 1e-13),
+            (2, 3.14, 10, 5e-12),
+        ],
+    )
+    def test_rule_resolves_the_kept_values(self, monkeypatch, n, theta0, k, bound):
+        # The ladder's nested check shares the step's rule, so it cannot see
+        # quadrature error. Each mode of the final step is solved again at
+        # its P on a 4P-node rule: the values the step kept move by at most
+        # 2.6e-14 relative (1.4e-12 at (2, 3.14, 10), where the basis is
+        # near-dependent). A 1.5 P_step rule moves (2, 3.1, 30) by 6.8e-13.
+        steps = _record_steps(monkeypatch)
+        domain = CapDomain(n, theta0)
+        spectrum, _ = solve_cap(domain, k)
+        final = steps[-1]
+        assert list(spectrum.values) == [v for v, _, _ in final.cand]
+        fine = {
+            m: solver._galerkin_mode(domain, m, P, 0, 4 * P, width=0)[0]
+            for m, (P, _, _) in final.bases.items()
+        }
+        for value, m, j in final.cand:
+            assert abs(value - fine[m][j]) <= bound * fine[m][j], (m, j)
 
     @pytest.mark.parametrize("theta0", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
     @pytest.mark.parametrize("n", [2, 3, 4])
