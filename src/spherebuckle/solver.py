@@ -52,9 +52,14 @@ the three-term Legendre recurrence, started at Tricomi's asymptotic
 nodes (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013). That costs
 O(Q^2) per rule, where numpy's `leggauss`, an eigenvalue solve, costs
 O(Q^3). Against a 40-digit rule up to Q = 571 its nodes are within 2 ulp
-of max(x, 1 - x) and its weights within 1e-11 relative. `_jacobi_basis`
-runs the basis recurrence with its coefficients formed once, as arrays
-over j.
+of max(x, 1 - x) and its weights within 1e-11 relative. All modes of a
+step share that rule and differ in the basis only through the Jacobi
+parameter b = m + n/2 - 1, so `_jacobi_rows` runs one three-term
+recurrence for a batch of consecutive modes, on (3, M, Q) rows per j, and
+each mode takes its leading P rows; they are bit-identical to a
+recurrence for that mode alone. A batch's rows are capped at BATCH_BYTES
+(`_load_batch`), and a mode too large to share a batch runs alone.
+`_jacobi_basis` forms each mode's x^m factors from its rows.
 
 The azimuthal sweep, `_sweep`, runs one Galerkin solve per mode m = 0,
 1, ... for its lowest ceil(k / mult) values until a mode opens above the
@@ -74,7 +79,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import count, islice
 from math import ceil
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError, qr, svd
@@ -104,8 +109,19 @@ REL_TOL = 1e-6
 # steps size each mode from the values it kept. A floor of 4 moves
 # lambda_k at (2, 3.1, 30) by 1e-9, of 6 by 4e-11.
 FIRST_WIDTH = 8
+# Bytes of one batch of basis rows (`_load_batch`): the sweep runs the basis
+# recurrence once for as many consecutive modes of a step as fit, 24 P Q
+# bytes each, and a mode above it runs alone. Batches of every mode up to
+# m = 64 took a solve's peak RSS from 33.5 to 58.8 MiB at (2, 2.0, 2000)
+# and from 43.3 to 218 MiB at (2, 3.14, 10).
+BATCH_BYTES = 2**20
 # Merged (value, m, index) candidates, sorted, one entry per multiplicity copy.
 _Cand = list[tuple[float, int, int]]
+# Basis rows of the batch of modes the sweep is visiting, (P, 3, Q) views
+# keyed by (n, Q, m), read by `assemble_mode`. The rows depend on (n, Q, m)
+# alone, so any entry is right for any caller; the sweep empties it when
+# it returns.
+_ROWS: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 def angular_eigenvalue(m: int, n: int) -> float:
@@ -148,39 +164,50 @@ def _sweep(
     cap = k. It keeps its lowest cap = ceil(k / mult) values, and as many
     of its block's values. Each value enters the candidates mult times,
     and the sweep stops once a mode opens above the current k-th candidate
-    (`_closing_mode`). Returns ((P, block) of every mode solved, Q, the k
-    smallest (value, m, index) candidates sorted, the k smallest block
-    values sorted, mode cutoff).
+    (`_closing_mode`). The sizes of modes not yet visited are known, so a
+    mode the current batch of basis rows does not hold loads the next
+    batch (`_load_batch`), from it on. Returns ((P, block) of every mode
+    solved, Q, the k smallest (value, m, index) candidates sorted, the k
+    smallest block values sorted, mode cutoff).
     """
-    first = _first_width(k, domain.n)
+    n, first = domain.n, _first_width(k, domain.n)
     Q = 2 * max([_basis_size(min(k, first), step + 1), *(P for P, _ in sizes.values())])
+
+    def size(m: int) -> tuple[int, int]:
+        width = min(ceil(k / harmonic_multiplicity(n, m)), first)
+        return sizes.get(m) or (_basis_size(width, step + 1), _basis_size(width, step))
+
     used: dict[int, tuple[int, int]] = {}
     cand: _Cand = []
     nested: list[float] = []
     lowest: list[float] = []
-    while True:
-        kth = cand[k - 1][0] if len(cand) >= k else np.inf
-        cutoff = _closing_mode(lowest, kth)
-        if cutoff is not None:
-            return used, Q, cand, nested, cutoff
-        m = len(lowest)
-        if m > 64:
-            raise NoConvergence("azimuthal sweep did not close by m = 64")
-        mult = harmonic_multiplicity(domain.n, m)
-        cap = ceil(k / mult)
-        copies = min(mult, k)
-        width = min(cap, first)
-        used[m] = sizes.get(m) or (_basis_size(width, step + 1), _basis_size(width, step))
-        vals, _, inner = _galerkin_mode(domain, m, *used[m], Q, width=0)
-        lowest.append(float(vals[0]))
-        for j, v in enumerate(vals[:cap].tolist()):
-            cand.extend([(v, m, j)] * copies)
-        for v in inner[:cap].tolist():
-            nested.extend([v] * copies)
-        cand.sort()
-        del cand[k:]
-        nested.sort()
-        del nested[k:]
+    try:
+        while True:
+            kth = cand[k - 1][0] if len(cand) >= k else np.inf
+            cutoff = _closing_mode(lowest, kth)
+            if cutoff is not None:
+                return used, Q, cand, nested, cutoff
+            m = len(lowest)
+            if m > 64:
+                raise NoConvergence("azimuthal sweep did not close by m = 64")
+            mult = harmonic_multiplicity(n, m)
+            cap = ceil(k / mult)
+            copies = min(mult, k)
+            used[m] = size(m)
+            if (n, Q, m) not in _ROWS:
+                _load_batch(n, Q, m, lambda j: size(j)[0])
+            vals, _, inner = _galerkin_mode(domain, m, *used[m], Q, width=0)
+            lowest.append(float(vals[0]))
+            for j, v in enumerate(vals[:cap].tolist()):
+                cand.extend([(v, m, j)] * copies)
+            for v in inner[:cap].tolist():
+                nested.extend([v] * copies)
+            cand.sort()
+            del cand[k:]
+            nested.sort()
+            del nested[k:]
+    finally:
+        _ROWS.clear()
 
 
 def solve_cap(
@@ -230,36 +257,55 @@ def solve_cap(
     return spectrum, _LazyPairs(domain, s.cand, s.bases)
 
 
-def _jacobi_basis(P: int, m: int, n: int, x: np.ndarray, theta0: float) -> tuple[np.ndarray, ...]:
-    """f_j and its first two theta-derivatives at x = theta/theta0, one row per j < P.
+def _jacobi_rows(P: int, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """P_j^{(2, b)}(s), dP_j/ds and d^2P_j/ds^2 for j < P, one (3, M, Q) row per j.
 
-    f_j = g(x) P_j(s) with g = x^m (1 - x^2)^2 and s = 2x^2 - 1, where
-    P_j = P_j^{(2, m+n/2-1)}. The three-term recurrence is differentiated
-    along to carry dP_j/ds and d^2P_j/ds^2.
+    One three-term recurrence, differentiated along, serves the M Jacobi
+    parameters b at once; each parameter's rows are bit-identical to
+    those of a recurrence run for it alone.
     """
-    a, b = 2.0, m + 0.5 * n - 1.0
-    s = 2.0 * x * x - 1.0
-    p = np.zeros((P, 3, x.size))  # P_j, dP_j/ds, d^2P_j/ds^2
+    a, b = 2.0, b[:, None]
+    p = np.zeros((P, 3, b.size, s.size))  # P_j, dP_j/ds, d^2P_j/ds^2
     p[0, 0] = 1.0
     if P > 1:
         p[1, 0] = (a + 1.0) + 0.5 * (a + b + 2.0) * (s - 1.0)
         p[1, 1] = 0.5 * (a + b + 2.0)
-    j = np.arange(1.0, P - 1)
+    j = np.arange(1.0, P - 1)[:, None, None]
     c = 2.0 * j + a + b
     d = 2.0 * (j + 1.0) * (j + a + b + 1.0) * c
     lead = (c + 1.0) * (c + 2.0) * c / d
-    back = (2.0 * (j + a) * (j + b) * (c + 2.0) / d).tolist()
-    t = np.outer(lead, s)
-    t += ((c + 1.0) * (a * a - b * b) / d)[:, None]
-    carry = np.stack([lead, 2.0 * lead], axis=1)[:, :, None]  # into dP/ds, d^2P/ds^2
-    tmp, dtmp = np.empty(p.shape[1:]), np.empty((2, x.size))
+    back = 2.0 * (j + a) * (j + b) * (c + 2.0) / d
+    shift = (c + 1.0) * (a * a - b * b) / d
+    carry = np.stack([lead, 2.0 * lead], axis=1)  # into dP/ds, d^2P/ds^2
+    # Row j's factor lead s + shift is formed in the loop: held for every j
+    # it would add a third to the rows' memory.
+    t, tmp, dtmp = np.empty(p.shape[2:]), np.empty(p.shape[1:]), np.empty((2, *p.shape[2:]))
     for i in range(P - 2):
         q = p[i + 2]
-        np.multiply(t[i], p[i + 1], out=q)
+        np.multiply(lead[i], s, out=t)
+        t += shift[i]
+        np.multiply(t, p[i + 1], out=q)
         np.multiply(back[i], p[i], out=tmp)
         q -= tmp
         np.multiply(carry[i], p[i + 1, :2], out=dtmp)
         q[1:] += dtmp
+    return p
+
+
+def _jacobi_basis(
+    P: int, m: int, n: int, x: np.ndarray, theta0: float, p: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """f_j and its first two theta-derivatives at x = theta/theta0, one row per j < P.
+
+    f_j = g(x) P_j(s) with g = x^m (1 - x^2)^2 and s = 2x^2 - 1, where
+    P_j = P_j^{(2, m+n/2-1)}. p, if given, holds mode m's (P', 3, Q) rows
+    at x from `_jacobi_rows`; unless it holds at least P of them, the
+    recurrence runs for mode m alone. g and its derivatives are formed
+    per mode, with m a scalar exponent.
+    """
+    if p is None or len(p) < P:
+        p = _jacobi_rows(P, np.array([m + 0.5 * n - 1.0]), 2.0 * x * x - 1.0)[:, :, 0]
+    p = p[:P]
     u = 1.0 - x * x
     g = x**m * u * u
     f = g * p[:, 0]
@@ -270,6 +316,35 @@ def _jacobi_basis(P: int, m: int, n: int, x: np.ndarray, theta0: float) -> tuple
     return f, fx / theta0, fxx / theta0**2
 
 
+def _load_batch(n: int, Q: int, m0: int, size: Callable[[int], int]) -> None:
+    """Run the basis recurrence once for modes m0, m0 + 1, ... on the Q-node rule.
+
+    The batch takes consecutive modes while its rows, 24 P M Q bytes for
+    M modes and the largest of their sizes P = size(m), stay within
+    BATCH_BYTES. Its read-only rows replace those in _ROWS; a mode that
+    fits no batch with the next leaves _ROWS empty and runs alone in
+    `assemble_mode`.
+    """
+    _ROWS.clear()
+    P, M = size(m0), 1
+    while 24 * max(P, size(m0 + M)) * (M + 1) * Q <= BATCH_BYTES:
+        P, M = max(P, size(m0 + M)), M + 1
+    if M == 1:
+        return
+    x = _gauss_legendre(Q)[0]
+    try:
+        # At n in the thousands the rows overflow; `_galerkin_mode` reports it.
+        with np.errstate(all="ignore"):
+            rows = _jacobi_rows(P, np.arange(m0, m0 + M) + 0.5 * n - 1.0, 2.0 * x * x - 1.0)
+    except MemoryError as exc:
+        raise NoConvergence(
+            f"basis rows of modes m={m0}..{m0 + M - 1} at P={P} on Q={Q} nodes: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+    rows.setflags(write=False)
+    _ROWS.update({(n, Q, m0 + i): rows[:, :, i] for i in range(M)})
+
+
 def assemble_mode(
     domain: CapDomain, m: int, P: int, Q: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -278,15 +353,18 @@ def assemble_mode(
     Under Gauss-Legendre quadrature on Q nodes, 2P unless given, A = K^T K
     and B = D^T D, with one row per node (D stacks the gradient rows over
     the mu f^2 / sin^2 rows) and one column per basis function. The ladder
-    passes its step's Q, at least 2P.
+    passes its step's Q, at least 2P, and the basis rows come from the
+    sweep's batch in _ROWS when it holds mode m, else from a recurrence
+    for mode m alone.
     """
     n, theta0 = domain.n, domain.theta0
-    x, w = _gauss_legendre(2 * P if Q is None else Q)
+    Q = 2 * P if Q is None else Q
+    x, w = _gauss_legendre(Q)
     w = theta0 * w
     mu = angular_eigenvalue(m, n)
     th = theta0 * x
     sin = np.sin(th)
-    f, f1, f2 = _jacobi_basis(P, m, n, x, theta0)
+    f, f1, f2 = _jacobi_basis(P, m, n, x, theta0, _ROWS.get((n, Q, m)))
     sw = np.sqrt(w * sin ** (n - 1))
     K = (sw * (f2 + (n - 1) * np.cos(th) / sin * f1 - mu * f / sin**2)).T
     D = np.vstack([(sw * f1).T, (sw * np.sqrt(mu) / sin * f).T])
@@ -311,16 +389,19 @@ def _galerkin_mode(
     upper triangular matrices keep leading blocks, so T[:block, :block] is
     the smaller basis's T, and its singular values give that basis's
     values with no second assembly. With width 0 no singular vector is
-    computed.
+    computed. A basis, an assembly or a factorization that does not fit
+    in memory raises NoConvergence, as a failed one does.
     """
-    # An extreme cap (theta0 near 0, n in the thousands) under- or overflows
-    # here; the checks below report that as NoConvergence, with no warnings.
-    with np.errstate(all="ignore"):
-        K, D = assemble_mode(domain, m, P, Q)
-        scale = 1.0 / np.linalg.norm(D, axis=0)
-        K *= scale
-        D *= scale
+    Q = 2 * P if Q is None else Q
     try:
+        # An extreme cap (theta0 near 0, n in the thousands) under- or
+        # overflows here; the checks below report that as NoConvergence,
+        # with no warnings.
+        with np.errstate(all="ignore"):
+            K, D = assemble_mode(domain, m, P, Q)
+            scale = 1.0 / np.linalg.norm(D, axis=0)
+            K *= scale
+            D *= scale
         # Each factor is dropped once used: at P ~ 70 each is 0.1-0.25 MiB,
         # and the solve's peak memory is what is alive at once.
         Rinv = np.linalg.inv(qr(D, mode="r"))
@@ -333,8 +414,11 @@ def _galerkin_mode(
         else:
             sig, Vt = svd(T)[1:]
             C = scale[:, None] * (Rinv @ Vt[::-1][:width].T)
-    except (LinAlgError, ValueError) as exc:
-        raise NoConvergence(f"Galerkin solve failed for mode m={m} at P={P}: {exc}") from exc
+    except (LinAlgError, ValueError, MemoryError) as exc:
+        raise NoConvergence(
+            f"Galerkin solve failed for mode m={m} at P={P} on Q={Q} nodes: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     vals = sig[::-1] ** 2
     if not all(np.all(np.isfinite(a)) for a in (vals, C, nested)):
         raise NoConvergence(f"Galerkin solve of mode m={m} at P={P} is not finite")

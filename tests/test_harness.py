@@ -1055,6 +1055,33 @@ class TestCli:
         assert int(last[0]) > int(lines[1].split(",")[0])
         assert float(last[-1]) <= 1e-10
 
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
+    def test_out_of_memory_exits_3_with_one_error_line(self, capsys, monkeypatch, command):
+        # A basis that cannot be allocated (at k = 1e8 the first one would
+        # take 10.1 GiB) is non-convergence: one error line naming the modes
+        # (here the first batch, 14 modes of 39 functions), their basis
+        # size and the rule's nodes, and nothing on stdout.
+        def no_memory(P, b, s):
+            raise MemoryError(f"Unable to allocate {24 * P * b.size * s.size} bytes")
+
+        monkeypatch.setattr(solver, "_jacobi_rows", no_memory)
+        code = cli.main([command, "--n", "2", "--theta0", "1.0", "--k", "5"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and "m=0..13 at P=39 on Q=78 nodes: MemoryError" in err[0], err
+
+    def test_out_of_memory_is_a_case_error(self, monkeypatch):
+        def no_memory(P, b, s):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(solver, "_jacobi_rows", no_memory)
+        report = run_campaign(CampaignConfig(**MINI))
+        (case,) = report.cases
+        assert case.error_type == "NoConvergence" and "MemoryError" in case.error
+        assert report.summary["case_errors"] == 1
+
     def test_convergence_k0_exits_4(self, capsys):
         code = cli.main(["convergence", "--n", "2", "--theta0", "1.0", "--k", "0"])
         assert code == 4

@@ -551,6 +551,121 @@ class TestSpectralEngine:
         for got, want in zip(spectrum.values, fixed):
             assert abs(got - want) <= 1e-10 * want
 
+    @pytest.mark.parametrize("grid", ["gauss", "cells"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 10, 50])
+    def test_batched_rows_match_one_mode_rows(self, n, grid):
+        # One recurrence over a batch of modes gives each mode the rows, and
+        # so the basis, of a recurrence run for it alone, bit for bit: on a
+        # Gauss rule and on the pairs' cell grid, for batches from m = 0 and
+        # from m = 5 whose modes take unequal numbers of rows. Odd n gives a
+        # half-integer Jacobi parameter.
+        if grid == "gauss":
+            x = solver._gauss_legendre(96)[0]
+        else:
+            x = (np.arange(solver.PAIR_CELLS) + 0.5) / solver.PAIR_CELLS
+        s = 2.0 * x * x - 1.0
+        for m0, sizes in [(0, [48, 40, 33]), (5, [27, 39, 30, 27])]:
+            ms = m0 + np.arange(len(sizes))
+            rows = solver._jacobi_rows(max(sizes), ms + 0.5 * n - 1.0, s)
+            assert rows.shape == (max(sizes), 3, len(sizes), x.size)
+            for i, (m, P) in enumerate(zip(ms.tolist(), sizes)):
+                alone = solver._jacobi_rows(P, np.array([m + 0.5 * n - 1.0]), s)[:, :, 0]
+                assert np.array_equal(rows[:P, :, i], alone), (m, P)
+                batched = solver._jacobi_basis(P, m, n, x, 1.7, rows[:, :, i])
+                for got, want in zip(batched, solver._jacobi_basis(P, m, n, x, 1.7)):
+                    assert np.array_equal(got, want), (m, P)
+
+    @pytest.mark.parametrize("n,theta0,k", [(2, 1.0, 30), (3, 1.0, 30), (2, 3.14, 10)])
+    def test_sweep_assembles_from_batched_rows(self, monkeypatch, n, theta0, k):
+        # Each mode the sweep assembles from its batch's rows has the factors
+        # it has when assembled alone, bit for bit, and the batch is gone
+        # once the solve returns.
+        seen, assemble = [], solver.assemble_mode
+
+        def recorded(domain, m, P, Q=None):
+            K, D = assemble(domain, m, P, Q)
+            seen.append((m, P, Q, (domain.n, Q, m) in solver._ROWS, K.copy(), D.copy()))
+            return K, D
+
+        monkeypatch.setattr(solver, "assemble_mode", recorded)
+        domain = CapDomain(n, theta0)
+        solve_cap(domain, k)
+        assert solver._ROWS == {}
+        assert any(batched for _, _, _, batched, _, _ in seen)
+        for m, P, Q, _, K, D in seen:
+            alone = assemble(domain, m, P, Q)
+            assert np.array_equal(K, alone[0]) and np.array_equal(D, alone[1]), (m, P, Q)
+
+    @pytest.mark.parametrize("n,theta0,k", [(2, 3.14, 10), (2, 2.0, 2000)])
+    def test_batches_stay_within_their_cap(self, monkeypatch, n, theta0, k):
+        # No batch of modes holds more than BATCH_BYTES of rows: at
+        # (2, 2.0, 2000) the 55 modes run in batches of 2 (93 functions on
+        # 186 nodes). A mode whose rows would pass it with the next mode's
+        # runs alone, as at every basis of 108 functions or more near the
+        # whole sphere.
+        batches, rows = [], solver._jacobi_rows
+
+        def recorded(P, b, s):
+            out = rows(P, b, s)
+            batches.append((b.size, out.nbytes))
+            return out
+
+        monkeypatch.setattr(solver, "_jacobi_rows", recorded)
+        solve_cap(CapDomain(n, theta0), k)
+        assert any(M > 1 for M, _ in batches)
+        assert any(M == 1 for M, _ in batches) == (theta0 > 3)
+        assert all(nbytes <= solver.BATCH_BYTES for M, nbytes in batches if M > 1)
+
+    @pytest.mark.parametrize(
+        "n,theta0,k", [(2, 1.0, 30), (3, 1.0, 30), (2, 1.0, 200), (2, 3.14, 10)]
+    )
+    def test_batches_waste_less_than_one_batch(self, monkeypatch, n, theta0, k):
+        # A step loads a batch from each mode it reaches without rows, so the
+        # modes it batches past its cutoff, never to be assembled, all lie
+        # in its last batch and are fewer than that batch's modes.
+        loaded, assembled = {}, {}
+        load, assemble = solver._load_batch, solver.assemble_mode
+
+        def recorded_load(n_, Q, m0, size):
+            load(n_, Q, m0, size)
+            loaded.setdefault(Q, []).append({m for _, _, m in solver._ROWS})
+
+        def recorded_assemble(domain, m, P, Q=None):
+            assembled.setdefault(Q, set()).add(m)
+            return assemble(domain, m, P, Q)
+
+        monkeypatch.setattr(solver, "_load_batch", recorded_load)
+        monkeypatch.setattr(solver, "assemble_mode", recorded_assemble)
+        solve_cap(CapDomain(n, theta0), k)
+        assert loaded.keys() == assembled.keys()
+        for Q, batches in loaded.items():
+            wasted = set().union(*batches) - assembled[Q]
+            assert wasted <= batches[-1] and len(wasted) < max(len(batches[-1]), 1), Q
+
+    @pytest.mark.parametrize("batch_bytes", [solver.BATCH_BYTES, 0])
+    def test_out_of_memory_maps_to_no_convergence(self, monkeypatch, batch_bytes):
+        # A basis too large for memory, in a batch or for a mode alone (no
+        # batch at all at BATCH_BYTES 0), raises NoConvergence naming the
+        # mode, its basis size and the rule's nodes, not MemoryError.
+        def no_memory(P, b, s):
+            raise MemoryError(f"Unable to allocate {24 * P * b.size * s.size} bytes")
+
+        monkeypatch.setattr(solver, "BATCH_BYTES", batch_bytes)
+        monkeypatch.setattr(solver, "_jacobi_rows", no_memory)
+        with pytest.raises(NoConvergence, match=r"m=0\b.* at P=39 on Q=78 nodes: MemoryError"):
+            solve_cap(CapDomain(2, 1.0), 5)
+        with pytest.raises(NoConvergence, match=r"m=0\b.* at P=39 on Q=78 nodes: MemoryError"):
+            convergence_table(CapDomain(2, 1.0), 5)
+        assert solver._ROWS == {}
+
+    def test_factorization_out_of_memory_maps_to_no_convergence(self, monkeypatch):
+        def no_memory(a, mode="reduced"):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(solver, "qr", no_memory)
+        with pytest.raises(NoConvergence, match=r"mode m=0 at P=39 on Q=78 nodes: MemoryError"):
+            solve_cap(CapDomain(2, 1.0), 5)
+
     @pytest.mark.parametrize("failure", ["raise", "nan", "nan_block"])
     def test_failure_maps_to_no_convergence(self, monkeypatch, failure):
         # The first assembly is at P = 39 (a 26-function block inside it).
