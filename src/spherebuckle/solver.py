@@ -111,9 +111,9 @@ REL_TOL = 1e-6
 FIRST_WIDTH = 8
 # Bytes of one batch of basis rows (`_load_batch`): the sweep runs the basis
 # recurrence once for as many consecutive modes of a step as fit, 24 P Q
-# bytes each, and a mode above it runs alone. Batches of every mode up to
-# m = 64 took a solve's peak RSS from 33.5 to 58.8 MiB at (2, 2.0, 2000)
-# and from 43.3 to 218 MiB at (2, 3.14, 10).
+# bytes each, and a mode that cannot share it with the next runs alone.
+# Batches of every mode up to m = 64 took a solve's peak RSS from 33.5 to
+# 58.8 MiB at (2, 2.0, 2000) and from 43.3 to 218 MiB at (2, 3.14, 10).
 BATCH_BYTES = 2**20
 # Merged (value, m, index) candidates, sorted, one entry per multiplicity copy.
 _Cand = list[tuple[float, int, int]]

@@ -658,22 +658,17 @@ class TestSpectralEngine:
             convergence_table(CapDomain(2, 1.0), 5)
         assert solver._ROWS == {}
 
-    def test_factorization_out_of_memory_maps_to_no_convergence(self, monkeypatch):
-        def no_memory(a, mode="reduced"):
-            raise MemoryError("Unable to allocate")
-
-        monkeypatch.setattr(solver, "qr", no_memory)
-        with pytest.raises(NoConvergence, match=r"mode m=0 at P=39 on Q=78 nodes: MemoryError"):
-            solve_cap(CapDomain(2, 1.0), 5)
-
-    @pytest.mark.parametrize("failure", ["raise", "nan", "nan_block"])
+    @pytest.mark.parametrize("failure", ["raise", "memory", "nan", "nan_block"])
     def test_failure_maps_to_no_convergence(self, monkeypatch, failure):
         # The first assembly is at P = 39 (a 26-function block inside it).
-        # "nan" poisons the values of the full 39 x 39 T, "nan_block" only
-        # those of its 26 x 26 leading block; the ladder asks for values alone.
+        # "memory" is a factorization that does not fit in memory; "nan"
+        # poisons the values of the full 39 x 39 T, "nan_block" only those
+        # of its 26 x 26 leading block; the ladder asks for values alone.
         def broken(a, compute_uv=True, **kwargs):
             if failure == "raise":
                 raise np.linalg.LinAlgError("synthetic failure")
+            if failure == "memory":
+                raise MemoryError("synthetic failure")
             assert not compute_uv
             poison = failure == ("nan" if len(a) == 39 else "nan_block")
             s = np.linalg.svd(a, compute_uv=False, **kwargs)
